@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-baseline fuzz-smoke chaos obs bench bench-baseline cover revoke-sweep freshness-sweep dedup-sweep merkle vuln ci clean
+.PHONY: all build test race vet lint lint-baseline fuzz-smoke chaos obs bench bench-baseline cover revoke-sweep freshness-sweep dedup-sweep merkle perfbench-test vuln ci clean
 
 all: build
 
@@ -11,6 +11,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench-test runs the repository benchmark's own tests (decorators,
+# ledger sums, determinism). perfbench/ is a separate Go module, so
+# `go test ./...` at the root does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 race:
 	$(GO) test -race ./...
@@ -44,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleTreeDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
 	$(GO) test -run=^$$ -fuzz=FuzzChunkerBoundaries -fuzztime=$(FUZZTIME) ./internal/chunker/
 	$(GO) test -run=^$$ -fuzz=FuzzCASDecode -fuzztime=$(FUZZTIME) ./internal/cas/
+	$(GO) test -run=^$$ -fuzz=FuzzFreshnessDeltaDecode -fuzztime=$(FUZZTIME) ./internal/vfs/
 
 # chaos runs the seeded fault-injection suites under the race detector,
 # once per seed in CHAOS_SEEDS: the AFS transport suite
@@ -108,7 +115,7 @@ cover:
 # DESIGN.md §15.
 merkle:
 	$(GO) test -race -count=1 ./internal/merkle/
-	$(GO) test -race -count=1 -run 'TestFreshnessStore' ./internal/vfs/
+	$(GO) test -race -count=1 -run 'TestFreshnessStore|TestFreshnessDelta|TestIsFreshnessTreeObject' ./internal/vfs/
 	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRootObject|TestPropertyMerkle' ./internal/enclave/
 
 # freshness-sweep reproduces the DESIGN.md §15 freshness-at-scale sweep

@@ -286,7 +286,7 @@ func (c *Client) callbackLoop(conn net.Conn) {
 			continue
 		}
 		if c.cache != nil {
-			c.cache.invalidate(name)
+			c.cache.breakCallback(name)
 		}
 	}
 	if c.closed.Load() {
@@ -489,10 +489,11 @@ func (c *Client) Put(name string, data []byte) error {
 // Delete implements backend.Store. The deletion is remembered as a
 // negative cache entry.
 func (c *Client) Delete(name string) error {
+	since := c.cache.breakCount()
 	_, err := c.call(opRemove, encodeName(name))
 	if c.cache != nil {
 		if err == nil {
-			c.cache.putNegative(name)
+			c.cache.putNegative(name, since)
 		} else {
 			c.cache.invalidate(name)
 		}
@@ -571,10 +572,11 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 			return nil, 0, fmt.Errorf("afs: %s (cached): %w", name, backend.ErrNotExist)
 		}
 	}
+	since := c.cache.breakCount()
 	body, err := c.call(opFetch, encodeName(name))
 	if err != nil {
 		if c.cache != nil && errors.Is(err, backend.ErrNotExist) {
-			c.cache.putNegative(name)
+			c.cache.putNegative(name, since)
 		}
 		return nil, 0, err
 	}
@@ -585,7 +587,7 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 		return nil, 0, err
 	}
 	if c.cache != nil {
-		c.cache.put(name, data, version)
+		c.cache.put(name, data, version, since)
 	}
 	return data, version, nil
 }
@@ -595,6 +597,7 @@ func (c *Client) PutVersioned(name string, data []byte) (uint64, error) {
 	w := serial.NewWriter(8 + len(name) + len(data))
 	w.WriteString(name)
 	w.WriteBytes(data)
+	since := c.cache.breakCount()
 	body, err := c.call(opStore, w.Bytes())
 	if err != nil {
 		if c.cache != nil {
@@ -610,7 +613,7 @@ func (c *Client) PutVersioned(name string, data []byte) (uint64, error) {
 		return 0, err
 	}
 	if c.cache != nil {
-		c.cache.put(name, data, version)
+		c.cache.put(name, data, version, since)
 	}
 	return version, nil
 }
@@ -720,6 +723,7 @@ func (c *Client) streamExchangeLocked(name string, total int, next func() ([]byt
 	if c.cache != nil {
 		acc = make([]byte, 0, total)
 	}
+	since := c.cache.breakCount()
 	var produceErr error
 	produce := func() ([]byte, error) {
 		seg, err := next()
@@ -760,7 +764,7 @@ func (c *Client) streamExchangeLocked(name string, total int, next func() ([]byt
 		return 0, false, err
 	}
 	if c.cache != nil {
-		c.cache.putOwned(name, acc, version)
+		c.cache.putOwned(name, acc, version, since)
 	}
 	return version, false, nil
 }
@@ -828,6 +832,13 @@ type fileCache struct {
 	used   int64                    // guarded by mu
 	lru    *list.List               // of *cacheEntry, front = most recent; guarded by mu
 	byName map[string]*list.Element // guarded by mu
+	// breaks counts callback breaks and flushes (guarded by mu). An RPC
+	// reads it before it is sent, and its reply is cached only if no
+	// break landed in between: the server may break the callback for
+	// this very file after producing the reply, and the callback
+	// channel may deliver the break first. Caching the reply then would
+	// pin a stale copy no later break removes.
+	breaks uint64
 }
 
 type cacheEntry struct {
@@ -876,10 +887,26 @@ func (fc *fileCache) lookup(name string) ([]byte, bool, uint64, bool) {
 	return out, false, entry.version, true
 }
 
-// putNegative caches a does-not-exist result.
-func (fc *fileCache) putNegative(name string) {
+// breakCount returns the break counter for a later put; a nil cache
+// reports 0.
+func (fc *fileCache) breakCount() uint64 {
+	if fc == nil {
+		return 0
+	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
+	return fc.breaks
+}
+
+// putNegative caches a does-not-exist result observed by an RPC sent
+// when the break counter read since.
+func (fc *fileCache) putNegative(name string, since uint64) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if fc.breaks != since {
+		fc.invalidateLocked(name)
+		return
+	}
 	if el, ok := fc.byName[name]; ok {
 		fc.removeElementLocked(el)
 	}
@@ -887,21 +914,24 @@ func (fc *fileCache) putNegative(name string) {
 	fc.byName[name] = el
 }
 
-func (fc *fileCache) put(name string, data []byte, version uint64) {
+func (fc *fileCache) put(name string, data []byte, version, since uint64) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	fc.putOwned(name, cp, version)
+	fc.putOwned(name, cp, version, since)
 }
 
 // putOwned is put for a buffer the cache takes ownership of, skipping
 // the defensive copy. The streaming put accumulates its own copy
 // segment by segment, so a second copy here would be pure waste.
-func (fc *fileCache) putOwned(name string, data []byte, version uint64) {
-	if int64(len(data)) > fc.budget {
-		return // larger than the whole cache; do not thrash
-	}
+func (fc *fileCache) putOwned(name string, data []byte, version, since uint64) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
+	if int64(len(data)) > fc.budget || fc.breaks != since {
+		// Too large to cache without thrashing, or a break landed while
+		// the RPC was out: any older copy is stale either way.
+		fc.invalidateLocked(name)
+		return
+	}
 	if el, ok := fc.byName[name]; ok {
 		entry := el.Value.(*cacheEntry)
 		fc.used += int64(len(data)) - int64(len(entry.data))
@@ -926,6 +956,18 @@ func (fc *fileCache) putOwned(name string, data []byte, version uint64) {
 func (fc *fileCache) invalidate(name string) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
+	fc.invalidateLocked(name)
+}
+
+// breakCallback drops name on a callback break from the server.
+func (fc *fileCache) breakCallback(name string) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.breaks++
+	fc.invalidateLocked(name)
+}
+
+func (fc *fileCache) invalidateLocked(name string) {
 	if el, ok := fc.byName[name]; ok {
 		fc.removeElementLocked(el)
 	}
@@ -934,6 +976,7 @@ func (fc *fileCache) invalidate(name string) {
 func (fc *fileCache) flush() {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
+	fc.breaks++
 	fc.lru.Init()
 	fc.byName = make(map[string]*list.Element)
 	fc.used = 0

@@ -30,6 +30,14 @@ type Server struct {
 	conns     map[net.Conn]bool          // accepted connections; guarded by mu
 	closed    bool                       // guarded by mu
 
+	// objLocks serialize the requests on one file (striped by name), so
+	// a fetch's data, version and callback promise, or a store's data
+	// and callback break, form one step no other request on that file
+	// can split: a promise registered after a concurrent store already
+	// broke the callbacks would let the fetcher cache stale bytes that
+	// no later break removes.
+	objLocks [objLockStripes]sync.Mutex
+
 	metrics serverMetrics
 
 	logf func(format string, args ...any)
@@ -339,6 +347,8 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		s.metrics.fetches.Inc()
+		obj := s.objLock(name)
+		obj.Lock()
 		data, err := s.store.Get(name)
 		if err != nil {
 			// Register a callback promise even for misses, so the client
@@ -347,17 +357,14 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 			if errors.Is(err, backend.ErrNotExist) {
 				s.registerCallback(name, clientID)
 			}
+			obj.Unlock()
 			return s.storeError(req.reqID, name, err)
 		}
 		s.mu.Lock()
 		version := s.versions[name]
-		holders := s.cachedBy[name]
-		if holders == nil {
-			holders = make(map[string]bool)
-			s.cachedBy[name] = holders
-		}
-		holders[clientID] = true // callback promise
+		s.registerCallbackLocked(name, clientID)
 		s.mu.Unlock()
+		obj.Unlock()
 
 		w := serial.NewWriter(12 + len(data))
 		w.WriteUint64(version)
@@ -372,13 +379,17 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		s.metrics.stores.Inc()
+		obj := s.objLock(name)
+		obj.Lock()
 		if err := s.store.Put(name, data); err != nil {
+			obj.Unlock()
 			return s.storeError(req.reqID, name, err)
 		}
-		version := s.bumpAndInvalidate(name, clientID)
 		// The writer's write-through cache now holds a copy: register the
 		// callback promise so later writers invalidate it.
-		s.registerCallback(name, clientID)
+		version, notify := s.bump(name, clientID, true)
+		obj.Unlock()
+		s.breakCallbacks(name, notify)
 		w := serial.NewWriter(8)
 		w.WriteUint64(version)
 		return ok(w.Bytes())
@@ -388,10 +399,15 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 		if err != nil {
 			return fail(errCodeBadRequest, err.Error())
 		}
+		obj := s.objLock(name)
+		obj.Lock()
 		if err := s.store.Delete(name); err != nil {
+			obj.Unlock()
 			return s.storeError(req.reqID, name, err)
 		}
-		s.bumpAndInvalidate(name, clientID)
+		_, notify := s.bump(name, clientID, false)
+		obj.Unlock()
+		s.breakCallbacks(name, notify)
 		return ok(nil)
 
 	case opList:
@@ -493,6 +509,10 @@ func (s *Server) storeError(reqID uint64, name string, err error) frame {
 func (s *Server) registerCallback(name, clientID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.registerCallbackLocked(name, clientID)
+}
+
+func (s *Server) registerCallbackLocked(name, clientID string) {
 	holders := s.cachedBy[name]
 	if holders == nil {
 		holders = make(map[string]bool)
@@ -501,26 +521,46 @@ func (s *Server) registerCallback(name, clientID string) {
 	holders[clientID] = true
 }
 
-// bumpAndInvalidate increments the file's version and breaks the callback
-// promises of every *other* client caching it. Returns the new version.
-func (s *Server) bumpAndInvalidate(name, writer string) uint64 {
+// objLockStripes is the number of per-file request locks.
+const objLockStripes = 64
+
+// objLock returns the request lock striped to name (FNV-1a).
+func (s *Server) objLock(name string) *sync.Mutex {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return &s.objLocks[h%objLockStripes]
+}
+
+// bump increments the file's version and revokes the callback promises
+// of every *other* client caching it, returning the new version and the
+// callback channels to notify. With register set the writer's own
+// write-through copy gets a promise.
+func (s *Server) bump(name, writer string, register bool) (uint64, []*callbackConn) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.versions[name]++
-	version := s.versions[name]
 	var notify []*callbackConn
-	if holders := s.cachedBy[name]; holders != nil {
-		for clientID := range holders {
-			if clientID == writer {
-				continue
-			}
-			delete(holders, clientID)
-			if cb := s.callbacks[clientID]; cb != nil {
-				notify = append(notify, cb)
-			}
+	holders := s.cachedBy[name]
+	for clientID := range holders {
+		if clientID == writer {
+			continue
+		}
+		delete(holders, clientID)
+		if cb := s.callbacks[clientID]; cb != nil {
+			notify = append(notify, cb)
 		}
 	}
-	s.mu.Unlock()
+	if register {
+		s.registerCallbackLocked(name, writer)
+	}
+	return s.versions[name], notify
+}
 
+// breakCallbacks sends the invalidations bump collected. They go out
+// before the writer's request is acknowledged.
+func (s *Server) breakCallbacks(name string, notify []*callbackConn) {
 	for _, cb := range notify {
 		cb.mu.Lock()
 		err := writeFrame(cb.conn, frame{op: opInvalidate, body: encodeName(name)})
@@ -530,7 +570,6 @@ func (s *Server) bumpAndInvalidate(name, writer string) uint64 {
 			s.logf("afs: callback delivery failed: %v", err)
 		}
 	}
-	return version
 }
 
 // acquire blocks until clientID holds the exclusive lock on name.

@@ -114,6 +114,10 @@ type Delta struct {
 	// figure; zero otherwise. Informational only, like WrapRatio: proof
 	// sizes move by design when the namespace tree's geometry changes.
 	ProofBytesRatio float64
+	// TreeBytesRatio compares freshness persistence bytes per drain
+	// (the freshness_scale sweep) when both reports carry the figure;
+	// zero otherwise. Informational only, like ProofBytesRatio.
+	TreeBytesRatio float64
 	// DedupRatioCur and UploadedBytesRatio surface the dedup
 	// experiment's figures: the current run's dedup ratio, and
 	// cur/base uploaded bytes per op when both reports carry it.
@@ -228,6 +232,9 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 				}
 				if base.ProofBytesPerOp > 0 && cur.ProofBytesPerOp > 0 {
 					d.ProofBytesRatio = cur.ProofBytesPerOp / base.ProofBytesPerOp
+				}
+				if base.TreeBytesPerBatch > 0 && cur.TreeBytesPerBatch > 0 {
+					d.TreeBytesRatio = cur.TreeBytesPerBatch / base.TreeBytesPerBatch
 				}
 				d.DedupRatioCur = cur.DedupRatio
 				if base.UploadedBytesPerOp > 0 && cur.UploadedBytesPerOp > 0 {
@@ -381,6 +388,9 @@ func Format(w io.Writer, deltas []Delta, opts Options) {
 		}
 		if d.ProofBytesRatio > 0 {
 			tails += fmt.Sprintf("  proof B/op %.2fx", d.ProofBytesRatio)
+		}
+		if d.TreeBytesRatio > 0 {
+			tails += fmt.Sprintf("  tree B/batch %.2fx", d.TreeBytesRatio)
 		}
 		if d.DedupRatioCur > 0 {
 			tails += fmt.Sprintf("  dedup %.2fx", d.DedupRatioCur)

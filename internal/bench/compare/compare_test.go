@@ -405,3 +405,34 @@ func TestDiffProofBytesRatioIsInformational(t *testing.T) {
 		t.Fatalf("ProofBytesRatio computed with missing baseline figure: %+v", deltas[0])
 	}
 }
+
+func TestDiffTreeBytesRatioIsInformational(t *testing.T) {
+	mk := func(treeBytes float64) *bench.Report {
+		r := bench.NewReport("test", 1)
+		r.Add("freshness_scale", "merkle_1000000_objects", bench.Metric{
+			NsPerOp:           1000,
+			TreeBytesPerBatch: treeBytes,
+		})
+		return r
+	}
+	// The per-drain persistence cost falls 30x (full snapshot → delta
+	// ring): reported, never gating either way.
+	deltas, regressed, err := Diff(mk(29e6), mk(29e6/30), 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regressed {
+		t.Fatalf("tree-bytes movement gated the diff: %+v", deltas)
+	}
+	if got := deltas[0].TreeBytesRatio; got < 0.033 || got > 0.034 {
+		t.Fatalf("TreeBytesRatio = %v, want 1/30", got)
+	}
+	var sb strings.Builder
+	Format(&sb, deltas, Options{Tolerance: 0.2})
+	if !strings.Contains(sb.String(), "tree B/batch 0.03x") {
+		t.Fatalf("format missing informational tree-bytes tail:\n%s", sb.String())
+	}
+	if deltas, _, _ = Diff(mk(0), mk(1e6), 0.2); deltas[0].TreeBytesRatio != 0 {
+		t.Fatalf("TreeBytesRatio computed with missing baseline figure: %+v", deltas[0])
+	}
+}

@@ -49,6 +49,22 @@ func TestFreshnessSweepScaling(t *testing.T) {
 	if mBig.BytesPerOp >= fBig.BytesPerOp {
 		t.Fatalf("merkle proof (%v B) not smaller than flat table (%v B) at 4096 objects", mBig.BytesPerOp, fBig.BytesPerOp)
 	}
+
+	// Persistence per drain: the flat table re-uploads itself whole; the
+	// merkle tree store puts a delta per batch plus a base snapshot once
+	// per ring period, well under one full snapshot per drain.
+	if fBig.TreeBytesPerBatch < 15*fSmall.TreeBytesPerBatch {
+		t.Fatalf("flat tree bytes/batch %v → %v is not linear in namespace size", fSmall.TreeBytesPerBatch, fBig.TreeBytesPerBatch)
+	}
+	for _, m := range []FreshnessRow{mSmall, mBig} {
+		if m.TreeBytesPerBatch <= 0 || m.SnapshotBytes <= 0 {
+			t.Fatalf("merkle row at n=%d lacks tree figures: %+v", m.Objects, m)
+		}
+		if m.TreeBytesPerBatch*16 > float64(m.SnapshotBytes) {
+			t.Fatalf("merkle tree bytes/batch %v at n=%d is not 16x below the %d B snapshot",
+				m.TreeBytesPerBatch, m.Objects, m.SnapshotBytes)
+		}
+	}
 }
 
 func TestFreshnessSweepRejectsBadInput(t *testing.T) {
@@ -71,13 +87,13 @@ func TestFreshnessMetricsAndPrint(t *testing.T) {
 		if !ok {
 			t.Fatalf("metric %q missing from experiment", name)
 		}
-		if m.NsPerOp <= 0 || m.ProofBytesPerOp <= 0 {
+		if m.NsPerOp <= 0 || m.ProofBytesPerOp <= 0 || m.TreeBytesPerBatch <= 0 {
 			t.Fatalf("metric %q has empty figures: %+v", name, m)
 		}
 	}
 	var sb strings.Builder
 	PrintFreshness(&sb, rows)
-	for _, want := range []string{"merkle", "flat", "enclave state"} {
+	for _, want := range []string{"merkle", "flat", "enclave state", "tree B/batch"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("printed table missing %q:\n%s", want, sb.String())
 		}

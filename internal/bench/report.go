@@ -42,6 +42,10 @@ type Metric struct {
 	// proof, or the whole flat table. Informational in the compare gate —
 	// proof size moves by design when tree geometry changes.
 	ProofBytesPerOp float64 `json:"proof_bytes_per_op,omitempty"`
+	// TreeBytesPerBatch is what persisting the freshness state uploads
+	// per write-back drain, from the freshness_scale experiment.
+	// Informational in the compare gate, like ProofBytesPerOp.
+	TreeBytesPerBatch float64 `json:"tree_bytes_per_batch,omitempty"`
 	// DedupRatio is logical bytes written over bytes actually uploaded
 	// and UploadedBytesPerOp the post-dedup upload cost per operation,
 	// from the dedup experiment. Both ride on informational metrics.

@@ -107,10 +107,10 @@ func TestPropertyMerkleVsFlatTableOracle(t *testing.T) {
 	// replay: the flat table's own rollback handling differs by design
 	// (seq counters vs epochs), and the property under test is verdict
 	// parity on *metadata* freshness.
-	excluded := map[string]bool{
-		enclave.FreshnessObjectName:  true,
-		enclave.MerkleRootObjectName: true,
-		vfs.FreshnessTreeObjectName:  true,
+	excluded := func(name string) bool {
+		return name == enclave.FreshnessObjectName ||
+			name == enclave.MerkleRootObjectName ||
+			vfs.IsFreshnessTreeObject(name)
 	}
 
 	var snapM, snapF storeSnapshot
@@ -173,7 +173,7 @@ func TestPropertyMerkleVsFlatTableOracle(t *testing.T) {
 			}
 			serveStale := func(snap storeSnapshot) func(string, []byte, uint64) ([]byte, uint64) {
 				return func(name string, b []byte, v uint64) ([]byte, uint64) {
-					if old, ok := snap.data[name]; ok && !excluded[name] {
+					if old, ok := snap.data[name]; ok && !excluded(name) {
 						return append([]byte(nil), old...), snap.vers[name]
 					}
 					return b, v

@@ -287,6 +287,14 @@ func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bu
 	return func(i int) (*metadata.Bucket, error) {
 		ref := d.Refs[i]
 		blob, _, err := e.fetchObject(objName(ref.UUID))
+		if isNotExist(err) {
+			// An unlocked reader whose main object lags two flushes
+			// behind references buckets the writer has since retired
+			// and deleted: the same torn view as a MAC mismatch, and
+			// retried the same way (retryTornEcall).
+			return nil, fmt.Errorf("%w: bucket %s of dirnode %s: %w",
+				metadata.ErrBucketMACMismatch, ref.UUID, d.UUID, err)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("fetching bucket %s: %w", ref.UUID, err)
 		}
