@@ -50,7 +50,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleTreeDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
 	$(GO) test -run=^$$ -fuzz=FuzzChunkerBoundaries -fuzztime=$(FUZZTIME) ./internal/chunker/
 	$(GO) test -run=^$$ -fuzz=FuzzCASDecode -fuzztime=$(FUZZTIME) ./internal/cas/
-	$(GO) test -run=^$$ -fuzz=FuzzFreshnessDeltaDecode -fuzztime=$(FUZZTIME) ./internal/vfs/
+	$(GO) test -run=^$$ -fuzz=FuzzFreshnessDeltaDecode -fuzztime=$(FUZZTIME) ./internal/enclave/
 
 # chaos runs the seeded fault-injection suites under the race detector,
 # once per seed in CHAOS_SEEDS: the AFS transport suite
@@ -115,8 +115,7 @@ cover:
 # DESIGN.md §15.
 merkle:
 	$(GO) test -race -count=1 ./internal/merkle/
-	$(GO) test -race -count=1 -run 'TestFreshnessStore|TestFreshnessDelta|TestIsFreshnessTreeObject' ./internal/vfs/
-	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRootObject|TestPropertyMerkle' ./internal/enclave/
+	$(GO) test -race -count=1 -run 'TestFreshnessStore|TestFreshnessDelta|TestIsFreshnessTreeObject|TestMerkle|TestRollback|TestFork|TestProofTampering|TestRootObject|TestPropertyMerkle' ./internal/enclave/
 
 # freshness-sweep reproduces the DESIGN.md §15 freshness-at-scale sweep
 # (10^3–10^6 objects) comparing per-load Merkle proof verification

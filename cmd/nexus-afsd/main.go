@@ -12,10 +12,11 @@
 // Prometheus text metrics at /metrics, expvar JSON at /debug/vars, and
 // the standard pprof profiles under /debug/pprof/.
 //
-// Clients mount volumes with Merkle-authenticated freshness by default
-// (DESIGN.md §15); the server needs no cooperation for it — rollback
-// proofs are ordinary objects — and legacy flat-table mounts
-// (`nexus -freshness-flat`) keep working against the same server.
+// Clients mount volumes with Merkle-authenticated freshness (DESIGN.md
+// §15); the server needs no cooperation for it — the freshness tree and
+// its sealed root are ordinary objects. Volumes written by older
+// flat-table clients mount unchanged: their objects are simply absent
+// from the tree until the next write adds them.
 package main
 
 import (

@@ -13,11 +13,10 @@
 // Usage:
 //
 //	nexus [-home dir] [-store dir | -afs host:port]
-//	      [-freshness-flat] [-content-defined] <command> [args]
+//	      [-content-defined] <command> [args]
 //
-// Rollback protection defaults to the Merkle-authenticated namespace
-// (DESIGN.md §15); -freshness-flat opts a mount back into the legacy
-// flat freshness table. -content-defined stores file contents as
+// Every mount is rollback-protected by the Merkle-authenticated
+// namespace (DESIGN.md §15). -content-defined stores file contents as
 // deduplicated content-defined chunks (DESIGN.md §16).
 //
 // Commands:
@@ -75,8 +74,6 @@ type cli struct {
 	// obs is shared by the AFS client and the enclave so trace mode
 	// stitches afs.* RPC spans under the vfs/sgx spans.
 	obs *nexus.Obs
-	// freshnessFlat opts out of the default Merkle freshness namespace.
-	freshnessFlat bool
 	// contentDefined enables the deduplicated content-defined chunk
 	// store for file contents.
 	contentDefined bool
@@ -86,7 +83,6 @@ func run() error {
 	home := flag.String("home", ".nexus-home", "client state directory")
 	storeDir := flag.String("store", "", "local object store directory (default <home>/store)")
 	afsAddr := flag.String("afs", "", "AFS server address (overrides -store)")
-	freshnessFlat := flag.Bool("freshness-flat", false, "use the legacy flat freshness table instead of the default Merkle namespace")
 	contentDefined := flag.Bool("content-defined", false, "store file contents as deduplicated content-defined chunks")
 	flag.Parse()
 	args := flag.Args()
@@ -98,7 +94,7 @@ func run() error {
 	if err := os.MkdirAll(*home, 0o700); err != nil {
 		return err
 	}
-	c := &cli{home: *home, obs: nexus.NewObs(), freshnessFlat: *freshnessFlat, contentDefined: *contentDefined}
+	c := &cli{home: *home, obs: nexus.NewObs(), contentDefined: *contentDefined}
 
 	switch {
 	case *afsAddr != "":
@@ -351,7 +347,6 @@ func (c *cli) newClient() (*nexus.Client, error) {
 		Store:          c.store,
 		PlatformSeed:   seed,
 		Obs:            c.obs,
-		FreshnessFlat:  c.freshnessFlat,
 		ContentDefined: c.contentDefined,
 		// One command per process: batching buys nothing and deferred
 		// metadata would be lost at exit, so flush eagerly.

@@ -535,12 +535,11 @@ func TestChaosMerkleFreshnessMidDrainRestart(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		c, err := nexus.NewClient(nexus.ClientConfig{
-			Store:           afsC,
-			IAS:             ias,
-			PlatformSeed:    platformSeed,
-			FreshnessMerkle: true,
-			WritebackMode:   "on",
-			Obs:             reg,
+			Store:         afsC,
+			IAS:           ias,
+			PlatformSeed:  platformSeed,
+			WritebackMode: "on",
+			Obs:           reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -640,11 +639,10 @@ func TestChaosMerkleFreshnessMidDrainRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	client2, err := nexus.NewClient(nexus.ClientConfig{
-		Store:           afs2,
-		IAS:             ias,
-		PlatformSeed:    platformSeed,
-		FreshnessMerkle: true,
-		WritebackMode:   "on",
+		Store:         afs2,
+		IAS:           ias,
+		PlatformSeed:  platformSeed,
+		WritebackMode: "on",
 	})
 	if err != nil {
 		t.Fatal(err)

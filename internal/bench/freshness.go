@@ -31,7 +31,7 @@ type FreshnessRow struct {
 	// hash + epoch (merkle) vs the full uuid→version map (flat).
 	StateBytes int64
 	// TreeBytesPerBatch is what persisting the freshness state costs per
-	// write-back drain: the mean bytes vfs.FreshnessStore puts per
+	// write-back drain: the mean bytes enclave.FreshnessStore puts per
 	// small update batch over one base-snapshot period (merkle), or the
 	// whole table the flat design re-uploads on every update.
 	TreeBytesPerBatch float64
@@ -157,20 +157,20 @@ type putMeter struct {
 func (m *putMeter) PutVersioned(name string, data []byte) (uint64, error) {
 	m.puts++
 	m.bytes += int64(len(data))
-	if name == vfs.FreshnessTreeObjectName {
+	if name == enclave.FreshnessTreeObjectName {
 		m.sawBase, m.lastBase = true, int64(len(data))
 	}
 	return m.ObjectStore.PutVersioned(name, data)
 }
 
 // sweepTreeBytes measures the untrusted tree's persistence cost at the
-// namespace size: it loads ids into a vfs.FreshnessStore, then runs
+// namespace size: it loads ids into a enclave.FreshnessStore, then runs
 // small drain-sized batches for one full base-snapshot period — from
 // just after one base put through the next — and returns the mean bytes
 // put per batch and the size of a full snapshot.
 func sweepTreeBytes(ids []uuid.UUID, rng *rand.Rand) (perBatch float64, snapshot int64, err error) {
 	meter := &putMeter{ObjectStore: vfs.NewVersionedStore(backend.NewMemStore())}
-	fs := vfs.NewFreshnessStore(meter)
+	fs := enclave.NewFreshnessStore(meter)
 	var epoch uint64
 	apply := func(batch []merkle.LeafUpdate) error {
 		if _, err := fs.FreshnessUpdate(epoch, batch); err != nil {

@@ -11,7 +11,7 @@ import (
 // RefTable is the volume's chunk reference-count table: how many
 // filenode extents reference each live chunk. It is sealed as one
 // metadata object ("cas-refs") and reloaded/merged under the store
-// lock on every flush, mirroring the freshness table's protocol; a
+// lock on every flush, like the freshness root commit; a
 // chunk whose count reaches zero is garbage and its object is deleted
 // after the table commits. The table is the GC ground truth, so its
 // encoding is strictly canonical: handles sorted, counts positive.

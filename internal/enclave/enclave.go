@@ -127,7 +127,10 @@ type Config struct {
 	// SGX is the enclave container providing sealing, attestation, EPC
 	// and transition accounting. Required.
 	SGX *sgx.Enclave
-	// Store is the ocall surface to the backing store. Required.
+	// Store is the ocall surface to the backing store. Required. A
+	// store that does not already implement FreshnessProofStore is
+	// wrapped in a FreshnessStore, which keeps the untrusted Merkle
+	// tree beside the object space (DESIGN.md §15).
 	Store ObjectStore
 	// IAS is the attestation service used to verify quotes during
 	// rootkey exchanges. Optional; exchanges fail without it.
@@ -150,19 +153,8 @@ type Config struct {
 	// DisableMetadataCache turns off the in-enclave decrypted-metadata
 	// cache (used by the cache ablation benchmark).
 	DisableMetadataCache bool
-	// FreshnessTree enables the volume-wide version table (§VI-C): full
-	// hierarchy rollback detection at the cost of an extra metadata
-	// object read/write per operation. See internal/enclave/freshness.go.
-	FreshnessTree bool
-	// FreshnessMerkle enables merkle freshness mode (DESIGN.md §15):
-	// the same rollback guarantee with O(1) enclave-resident state (a
-	// root hash plus an epoch) and O(log n) proof verification per
-	// metadata load. Requires Store to implement FreshnessProofStore
-	// (vfs.FreshnessStore wraps any plain store). Mutually exclusive
-	// with FreshnessTree, which remains as the transition oracle.
-	FreshnessMerkle bool
-	// Writeback selects the metadata flush policy. The zero value and
-	// WritebackOff seal and upload metadata eagerly on every mutation
+	// Writeback selects the metadata flush policy. The zero value,
+	// WritebackEager, seals and uploads metadata eagerly on every mutation
 	// (the historical behaviour, and what direct Config consumers such
 	// as the internal tests rely on). WritebackOn defers flushes into a
 	// dirty set drained in dependency order at explicit barriers
@@ -186,13 +178,6 @@ type Config struct {
 	// layout convert on their next write. Reads never consult the knob —
 	// both layouts always decode.
 	ContentDefined bool
-	// DisableGroupKeys turns off the membership key tree: AddUser skips
-	// subgroup enrollment, RemoveUser skips the path rotation, and group
-	// ACL entries stop resolving. The default (false) maintains the tree
-	// for every volume this enclave administers; volumes created while
-	// the knob was off migrate lazily on the next AddUser. See
-	// internal/groupkey and DESIGN.md §13.
-	DisableGroupKeys bool
 	// Obs is the observability registry the enclave (and its SGX
 	// container) meters into. Optional; a private registry is created
 	// when nil. Share one registry across the stack (vfs → enclave →
@@ -266,21 +251,15 @@ type Enclave struct {
 	// exchange (§VI-B variant); consumed by AcceptMutualGrant.
 	pendingMutual *ecdh.PrivateKey
 
-	cache     *metaCache
-	freshness map[uuid.UUID]uint64
+	cache *metaCache
 
-	// Merkle freshness mode: the enclave's entire freshness state is
-	// this root commitment and epoch — no per-object map (that is the
-	// O(1) claim the freshness-scale benchmark measures). proofStore is
-	// the store's FreshnessProofStore upgrade, asserted once in New.
-	proofStore FreshnessProofStore
-	mkRoot     [32]byte
-	mkEpoch    uint64
-	mkSeen     bool
+	// fresh is the volume freshness commitment (the Merkle root, see
+	// freshness.go).
+	fresh freshnessPath
 
 	// wb is the write-back dirty set (nil in eager mode); freshSink,
-	// when non-nil, absorbs freshness-table updates during a batch drain
-	// so the table is rewritten once per batch instead of once per
+	// when non-nil, absorbs freshness updates during a batch drain so
+	// the commitment advances once per batch instead of once per
 	// object. Both are guarded by mu.
 	wb        *dirtySet
 	freshSink map[uuid.UUID]uint64
@@ -401,30 +380,23 @@ func New(cfg Config) (*Enclave, error) {
 		cfg.Obs = obs.NewRegistry()
 	}
 	switch cfg.Writeback {
-	case WritebackEager, WritebackOff, WritebackOn:
+	case WritebackEager, WritebackOn:
 	default:
 		return nil, fmt.Errorf("enclave: unknown Writeback mode %q", cfg.Writeback)
 	}
-	if cfg.FreshnessTree && cfg.FreshnessMerkle {
-		return nil, fmt.Errorf("enclave: FreshnessTree and FreshnessMerkle are mutually exclusive")
-	}
-	var proofStore FreshnessProofStore
-	if cfg.FreshnessMerkle {
-		ps, ok := cfg.Store.(FreshnessProofStore)
-		if !ok {
-			return nil, fmt.Errorf("enclave: FreshnessMerkle requires a store implementing FreshnessProofStore (wrap it in vfs.NewFreshnessStore)")
-		}
-		proofStore = ps
+	proofStore, ok := cfg.Store.(FreshnessProofStore)
+	if !ok {
+		proofStore = NewFreshnessStore(cfg.Store)
+		cfg.Store = proofStore
 	}
 	e := &Enclave{
-		sgx:        cfg.SGX,
-		store:      cfg.Store,
-		ias:        cfg.IAS,
-		cfg:        cfg,
-		freshness:  make(map[uuid.UUID]uint64),
-		proofStore: proofStore,
-		casDecs:    make(map[cas.Handle]uint32),
+		sgx:     cfg.SGX,
+		store:   cfg.Store,
+		ias:     cfg.IAS,
+		cfg:     cfg,
+		casDecs: make(map[cas.Handle]uint32),
 	}
+	e.fresh = &merkleFreshness{e: e, store: proofStore}
 	if cfg.Writeback == WritebackOn {
 		//lint:ignore lock-discipline construction: the enclave is not yet shared
 		e.wb = newDirtySet(cfg.WritebackMaxOps, cfg.WritebackMaxBytes)
@@ -554,15 +526,13 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 		e.rootKey = rootKey
 		e.super = super
 		e.casSecret = cas.DeriveSecret(rootKey)
-		if !e.cfg.DisableGroupKeys {
-			// Fresh volumes start with the membership key tree in place
-			// (owner enrolled); legacy volumes migrate on first AddUser.
-			if _, err := e.ensureGroupTreeLocked(); err != nil {
-				e.rootKey = nil
-				e.super = nil
-				e.casSecret = nil
-				return err
-			}
+		// Fresh volumes start with the membership key tree in place
+		// (owner enrolled); legacy volumes migrate on first AddUser.
+		if _, err := e.ensureGroupTreeLocked(); err != nil {
+			e.rootKey = nil
+			e.super = nil
+			e.casSecret = nil
+			return err
 		}
 
 		// Root dirnode: parent pointer binds it to the supernode.
@@ -827,13 +797,8 @@ func (e *Enclave) withSupernodeLockLocked(fn func() error) error {
 
 // loadSupernodeLocked fetches, verifies and decodes the supernode.
 func (e *Enclave) loadSupernodeLocked() error {
-	var blob []byte
-	var version uint64
-	if err := e.timedOcall(e.metrics.metaIO, func() error {
-		var err error
-		blob, version, err = e.store.GetVersioned(SupernodeObjectName)
-		return err
-	}); err != nil {
+	blob, _, err := e.fetchObject(SupernodeObjectName)
+	if err != nil {
 		return fmt.Errorf("fetching supernode: %w", err)
 	}
 	p, body, err := metadata.Open(e.rootKey, blob)
@@ -843,15 +808,11 @@ func (e *Enclave) loadSupernodeLocked() error {
 	if p.Type != metadata.TypeSupernode {
 		return fmt.Errorf("%w: object %q is a %s", metadata.ErrMalformed, SupernodeObjectName, p.Type)
 	}
-	if e.cfg.FreshnessMerkle {
-		// The supernode's version is bound to the root commitment like
-		// every other metadata object — a whole-snapshot rollback fails
-		// right here, before authentication can proceed.
-		if err := e.checkFreshnessMerkleLocked(p.UUID, p.Version); err != nil {
-			return err
-		}
-	} else if last, ok := e.freshness[p.UUID]; ok && p.Version < last {
-		return fmt.Errorf("%w: supernode version %d < seen %d", ErrStaleMetadata, p.Version, last)
+	// The supernode's version is bound to the freshness commitment like
+	// every other metadata object — a whole-snapshot rollback fails
+	// right here, before authentication can proceed.
+	if err := e.fresh.checkLocked(p.UUID, p.Version); err != nil {
+		return err
 	}
 	super, err := metadata.DecodeSupernodeBody(body)
 	if err != nil {
@@ -860,8 +821,6 @@ func (e *Enclave) loadSupernodeLocked() error {
 	e.super = super
 	e.superBlob = blob
 	e.superVersion = p.Version
-	e.noteSeenLocked(p.UUID, p.Version)
-	_ = version
 	return nil
 }
 
@@ -886,7 +845,6 @@ func (e *Enclave) flushSupernodeLocked() error {
 		return fmt.Errorf("uploading supernode: %w", err)
 	}
 	e.superBlob = blob
-	e.noteSeenLocked(e.super.VolumeUUID, e.superVersion)
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(blob)))
 	return e.recordFreshnessLocked(map[uuid.UUID]uint64{e.super.VolumeUUID: e.superVersion})

@@ -1,201 +1,46 @@
 package enclave
 
-import (
-	"fmt"
+import "nexus/internal/uuid"
 
-	"nexus/internal/metadata"
-	"nexus/internal/serial"
-	"nexus/internal/uuid"
-)
+// Whole-volume freshness (§VI-C, DESIGN.md §15). Per-object AEAD and
+// version counters cannot stop a malicious server from serving a
+// consistent *old* snapshot of the volume. The enclave therefore binds
+// every metadata object's version to one volume-wide commitment,
+// updated with every flush batch: re-serving any stale object then
+// fails the check against it. The paper leaves this to future work;
+// the commitment here is the Merkle root in freshness_merkle.go.
+// Forking attacks against *newly joining* clients (who have no local
+// state at all) remain out of scope, as in the paper.
 
-// The optional volume-wide freshness table implements the mitigation the
-// paper sketches for rollback/forking attacks (§VI-C): per-object
-// version counters detect rollback of objects an enclave has already
-// seen, but a malicious server can still serve a consistent *old*
-// snapshot to a client that has seen nothing newer. Recording every
-// object's current version in a single authenticated table — itself
-// versioned and updated transactionally with every metadata write —
-// extends rollback detection to the whole hierarchy: re-serving any
-// stale object then fails the table comparison.
-//
-// The paper leaves this to future work because of its cost: every
-// metadata update must additionally lock, rewrite, and upload the table
-// (the "root hash" synchronization concern). The implementation here is
-// exactly that single-root design, gated behind Config.FreshnessTree,
-// and the ablation benchmark quantifies the overhead. Forking attacks
-// against *newly joining* clients (who have no local state at all)
-// remain out of scope, as in the paper.
-
-// FreshnessObjectName is the store name of the freshness table.
-const FreshnessObjectName = "freshness"
-
-// freshTable is the volume-wide version table.
-type freshTable struct {
-	// Seq is the table's own update counter.
-	Seq uint64
-	// Versions records the latest sealed version of every metadata
-	// object, keyed by UUID.
-	Versions map[uuid.UUID]uint64
+// freshnessPath checks loaded object versions against the volume's
+// freshness commitment and commits flushed versions to it. The Merkle
+// root (merkleFreshness) is the only path the enclave ships; the seam
+// exists so the enclave's tests can install the flat version table as
+// a differential oracle (export_test.go).
+type freshnessPath interface {
+	// checkLocked fails closed when version is provably older than the
+	// committed version of id. Objects the commitment does not know
+	// pass: they are newer than any state an attacker could replay,
+	// and their own AEAD protects them.
+	checkLocked(id uuid.UUID, version uint64) error
+	// commitLocked records a batch of object versions; version 0
+	// removes the object.
+	commitLocked(updates map[uuid.UUID]uint64) error
 }
 
-func newFreshTable() *freshTable {
-	return &freshTable{Versions: make(map[uuid.UUID]uint64)}
-}
-
-func (t *freshTable) encode() []byte {
-	w := serial.NewWriter(16 + 24*len(t.Versions))
-	w.WriteUint64(t.Seq)
-	w.WriteUint32(uint32(len(t.Versions)))
-	for id, v := range t.Versions {
-		w.WriteRaw(id[:])
-		w.WriteUint64(v)
-	}
-	return w.Bytes()
-}
-
-func decodeFreshTable(body []byte) (*freshTable, error) {
-	r := serial.NewReader(body)
-	t := newFreshTable()
-	t.Seq = r.ReadUint64("freshness seq")
-	n := r.ReadCount(0, "freshness entries")
-	for i := 0; i < n; i++ {
-		var id uuid.UUID
-		r.ReadRawInto(id[:], "freshness uuid")
-		t.Versions[id] = r.ReadUint64("freshness version")
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("decoding freshness table: %w", err)
-	}
-	return t, nil
-}
-
-// loadFreshTableLocked fetches and verifies the freshness table. A
-// missing table is an empty one (fresh volume).
-func (e *Enclave) loadFreshTableLocked() (*freshTable, error) {
-	blob, _, err := e.fetchObject(FreshnessObjectName)
-	if err != nil {
-		if isNotExist(err) {
-			return newFreshTable(), nil
-		}
-		return nil, fmt.Errorf("fetching freshness table: %w", err)
-	}
-	p, body, err := metadata.Open(e.rootKey, blob)
-	if err != nil {
-		return nil, fmt.Errorf("verifying freshness table: %w", err)
-	}
-	if p.Type != metadata.TypeFreshness {
-		return nil, fmt.Errorf("%w: freshness object has type %s", metadata.ErrTampered, p.Type)
-	}
-	t, err := decodeFreshTable(body)
-	if err != nil {
-		return nil, err
-	}
-	if t.Seq != p.Version {
-		return nil, fmt.Errorf("%w: freshness table seq %d != sealed version %d",
-			metadata.ErrTampered, t.Seq, p.Version)
-	}
-	// The table itself is rollback-protected by the enclave's local
-	// memory of its sequence number.
-	if last, ok := e.freshness[freshTableID]; ok && t.Seq < last {
-		return nil, fmt.Errorf("%w: freshness table seq %d < seen %d", ErrStaleMetadata, t.Seq, last)
-	}
-	e.freshness[freshTableID] = t.Seq
-	return t, nil
-}
-
-// freshTableID keys the table's own version in the enclave-local
-// freshness map.
-var freshTableID = uuid.UUID{0xff, 0xfe}
-
-// recordFreshnessLocked notes that objects now carry the given versions,
-// rewriting the volume-wide table. Callers already hold the relevant
-// metadata locks; the table has its own store lock to serialize
-// concurrent writers.
+// recordFreshnessLocked notes that objects now carry the given versions.
+// Callers already hold the relevant metadata locks; the commitment has
+// its own store lock to serialize concurrent writers.
 func (e *Enclave) recordFreshnessLocked(updates map[uuid.UUID]uint64) error {
-	if !e.cfg.FreshnessTree && !e.cfg.FreshnessMerkle {
-		return nil
-	}
 	// During a write-back batch drain the per-object updates collect in
-	// freshSink and the table (or merkle root) is rewritten once at the
-	// end of the batch (drainLocked); a stale-low entry is safe in the
-	// interim — checkFreshnessLocked only rejects versions *below* it.
+	// freshSink and the commitment advances once at the end of the
+	// batch (drainLocked); a stale-low entry is safe in the interim —
+	// checkLocked only rejects versions *below* it.
 	if e.freshSink != nil {
 		for id, v := range updates {
 			e.freshSink[id] = v
 		}
 		return nil
 	}
-	if e.cfg.FreshnessMerkle {
-		return e.recordFreshnessMerkleLocked(updates)
-	}
-	release, err := e.lockObject(FreshnessObjectName)
-	if err != nil {
-		return fmt.Errorf("locking freshness table: %w", err)
-	}
-	defer release()
-
-	t, err := e.loadFreshTableLocked()
-	if err != nil {
-		return err
-	}
-	for id, v := range updates {
-		if v == 0 {
-			delete(t.Versions, id)
-		} else {
-			t.Versions[id] = v
-		}
-	}
-	t.Seq++
-	blob, err := metadata.Seal(e.rootKey, metadata.Preamble{
-		Type:    metadata.TypeFreshness,
-		UUID:    freshTableID,
-		Version: t.Seq,
-	}, t.encode())
-	if err != nil {
-		return fmt.Errorf("sealing freshness table: %w", err)
-	}
-	if _, err := e.putObject(FreshnessObjectName, blob); err != nil {
-		return fmt.Errorf("uploading freshness table: %w", err)
-	}
-	e.freshness[freshTableID] = t.Seq
-	e.metrics.metadataFlushes.Inc()
-	e.metrics.metadataBytes.Add(int64(len(blob)))
-	return nil
-}
-
-// checkFreshnessLocked verifies a loaded object's version against the
-// volume-wide table (when enabled). Unknown objects pass — they are
-// newer than the last table the attacker could have recorded, and their
-// own AEAD protects them.
-func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
-	if e.cfg.FreshnessMerkle {
-		return e.checkFreshnessMerkleLocked(id, version)
-	}
-	if !e.cfg.FreshnessTree {
-		return nil
-	}
-	t, err := e.loadFreshTableLocked()
-	if err != nil {
-		return err
-	}
-	want, ok := t.Versions[id]
-	if !ok {
-		return nil
-	}
-	if version < want {
-		return fmt.Errorf("%w: object %s at version %d, freshness table requires %d",
-			ErrStaleMetadata, id, version, want)
-	}
-	return nil
-}
-
-// noteSeenLocked records the newest seen version of an object in the
-// per-object freshness map. Merkle mode keeps no per-object state — the
-// root commitment subsumes the map — so it is a no-op there; that empty
-// map is exactly the O(1) enclave-residency the mode exists for.
-func (e *Enclave) noteSeenLocked(id uuid.UUID, version uint64) {
-	if e.cfg.FreshnessMerkle {
-		return
-	}
-	e.freshness[id] = version
+	return e.fresh.commitLocked(updates)
 }

@@ -1,4 +1,4 @@
-package vfs
+package enclave
 
 import (
 	"bytes"
@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"nexus/internal/backend"
-	"nexus/internal/enclave"
 	"nexus/internal/merkle"
 	"nexus/internal/uuid"
 )
@@ -15,7 +13,7 @@ import (
 // probeStore counts the requests a FreshnessStore sends its inner store
 // and can fail one chosen put.
 type probeStore struct {
-	enclave.ObjectStore
+	ObjectStore
 
 	mu       sync.Mutex
 	gets     int
@@ -26,7 +24,7 @@ type probeStore struct {
 
 var errInjectedPut = errors.New("injected put failure")
 
-func newProbeStore(inner enclave.ObjectStore) *probeStore {
+func newProbeStore(inner ObjectStore) *probeStore {
 	return &probeStore{ObjectStore: inner, putBytes: make(map[string][]int)}
 }
 
@@ -57,13 +55,9 @@ func (p *probeStore) counts() (gets, puts int) {
 	return p.gets, p.puts
 }
 
-func newMemVersionedStore() enclave.ObjectStore {
-	return NewVersionedStore(backend.NewMemStore())
-}
-
 // freshnessStoreOver wraps inner and returns the FreshnessStore inside,
 // whichever variant NewFreshnessStore picked.
-func freshnessStoreOver(t *testing.T, inner enclave.ObjectStore) *FreshnessStore {
+func freshnessStoreOver(t *testing.T, inner ObjectStore) *FreshnessStore {
 	t.Helper()
 	switch s := NewFreshnessStore(inner).(type) {
 	case *FreshnessStore:
@@ -137,7 +131,7 @@ func checkServes(t *testing.T, s *FreshnessStore, epoch uint64, root [32]byte) {
 // after each epoch (roots[0] is the empty root).
 func referenceRoots(t *testing.T, n int) [][32]byte {
 	t.Helper()
-	s := freshnessStoreOver(t, newMemVersionedStore())
+	s := freshnessStoreOver(t, newStreamMemStore())
 	roots := [][32]byte{merkle.EmptyRoot()}
 	for e := uint64(0); e < uint64(n); e++ {
 		root, err := foldBatch(s, e, roots[e], deltaTestBatch(e))
@@ -150,7 +144,7 @@ func referenceRoots(t *testing.T, n int) [][32]byte {
 }
 
 func TestFreshnessStoreOnePutPerBatchWithPeriodicBase(t *testing.T) {
-	probe := newProbeStore(newMemVersionedStore())
+	probe := newProbeStore(newStreamMemStore())
 	s := freshnessStoreOver(t, probe)
 	root := merkle.EmptyRoot()
 	const batches = 3 * deltaRing
@@ -185,7 +179,7 @@ func TestFreshnessStoreOnePutPerBatchWithPeriodicBase(t *testing.T) {
 }
 
 func TestFreshnessStoreColdLoadBoundAndCatchUp(t *testing.T) {
-	inner := newMemVersionedStore()
+	inner := newStreamMemStore()
 	writer := freshnessStoreOver(t, inner)
 	roots := []([32]byte){merkle.EmptyRoot()}
 	advanceTo := func(epoch uint64) {
@@ -244,7 +238,7 @@ func TestFreshnessStoreFaultPoints(t *testing.T) {
 	const rootObject = "freshness-root"
 	roots := referenceRoots(t, batches)
 	for fault := 1; fault <= 2*batches; fault++ {
-		inner := newMemVersionedStore()
+		inner := newStreamMemStore()
 		probe := newProbeStore(inner)
 		probe.failPut = fault
 		s := freshnessStoreOver(t, probe)
@@ -287,7 +281,7 @@ func TestFreshnessStoreFaultPoints(t *testing.T) {
 // held, until Lock drops it — as afs.Client.Lock drops its cached copy
 // and revalidates with the server.
 type staleCacheStore struct {
-	enclave.ObjectStore
+	ObjectStore
 
 	mu    sync.Mutex
 	stale map[string]staleCopy
@@ -299,7 +293,7 @@ type staleCopy struct {
 	err     error
 }
 
-func newStaleCacheStore(inner enclave.ObjectStore) *staleCacheStore {
+func newStaleCacheStore(inner ObjectStore) *staleCacheStore {
 	return &staleCacheStore{ObjectStore: inner, stale: make(map[string]staleCopy)}
 }
 
@@ -328,7 +322,7 @@ func (s *staleCacheStore) Lock(name string) (func(), error) {
 }
 
 func TestFreshnessStoreRevalidatesStaleDelta(t *testing.T) {
-	inner := newMemVersionedStore()
+	inner := newStreamMemStore()
 	cache := newStaleCacheStore(inner)
 	a := freshnessStoreOver(t, cache)
 	b := freshnessStoreOver(t, inner)
@@ -350,7 +344,7 @@ func TestFreshnessStoreRevalidatesStaleDelta(t *testing.T) {
 }
 
 func TestFreshnessStoreRevalidatesStaleBase(t *testing.T) {
-	inner := newMemVersionedStore()
+	inner := newStreamMemStore()
 	cache := newStaleCacheStore(inner)
 	a := freshnessStoreOver(t, cache)
 	b := freshnessStoreOver(t, inner)
@@ -380,8 +374,8 @@ func TestIsFreshnessTreeObject(t *testing.T) {
 		FreshnessTreeObjectName:            true,
 		deltaObjectName(1):                 true,
 		deltaObjectName(deltaRing - 1):     true,
-		enclave.MerkleRootObjectName:       false,
-		enclave.FreshnessObjectName:        false,
+		MerkleRootObjectName:               false,
+		FreshnessObjectName:                false,
 		"0123456789abcdef0123456789abcdef": false,
 	} {
 		if got := IsFreshnessTreeObject(name); got != want {

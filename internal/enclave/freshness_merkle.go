@@ -9,14 +9,14 @@ import (
 	"nexus/internal/uuid"
 )
 
-// Merkle freshness mode (Config.FreshnessMerkle, DESIGN.md §15) is the
-// scalable successor to the flat table in freshness.go. The flat design
-// re-reads and re-uploads the entire uuid→version table on every check
-// and update — O(n) transfer per operation, with the whole table
-// resident wherever it is verified. Here the enclave instead holds a
-// single commitment to that table: the root of a canonical Merkle tree
+// Merkle freshness (DESIGN.md §15) replaces a flat uuid→version table,
+// which would be re-read and re-uploaded whole on every check and
+// update — O(n) transfer per operation, with the whole table resident
+// wherever it is verified. The enclave instead holds a single
+// commitment to that table: the root of a canonical Merkle tree
 // (internal/merkle) plus a monotonic epoch counter. The untrusted side
-// keeps the tree itself and serves O(log n) inclusion proofs:
+// keeps the tree itself (FreshnessStore) and serves O(log n) inclusion
+// proofs:
 //
 //   - every metadata load verifies a membership (or absence) proof for
 //     the object against the enclave-resident root before the object's
@@ -40,13 +40,12 @@ import (
 // MerkleRootObjectName is the store name of the sealed merkle root.
 const MerkleRootObjectName = "freshness-root"
 
-// merkleRootID keys the sealed root object's preamble, mirroring
-// freshTableID for the flat table.
+// merkleRootID keys the sealed root object's preamble.
 var merkleRootID = uuid.UUID{0xff, 0xfd}
 
-// FreshnessProofStore is the ocall surface merkle freshness mode
-// requires: an ObjectStore that also maintains the freshness tree and
-// serves proofs against it (implemented by vfs.FreshnessStore).
+// FreshnessProofStore is the ocall surface Merkle freshness requires: an
+// ObjectStore that also maintains the freshness tree and serves proofs
+// against it. New wraps any store that lacks it in a FreshnessStore.
 type FreshnessProofStore interface {
 	ObjectStore
 	// FreshnessProof returns the encoded membership/absence proof for
@@ -58,6 +57,17 @@ type FreshnessProofStore interface {
 	// tree state after the updates before it — exactly what the enclave
 	// folds into its next root.
 	FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error)
+}
+
+// merkleFreshness is the enclave's freshnessPath. Its whole state is
+// the root commitment and its epoch — no per-object map, which is the
+// O(1) enclave residency the freshness-scale benchmark measures.
+type merkleFreshness struct {
+	e     *Enclave
+	store FreshnessProofStore
+	root  [merkle.HashSize]byte
+	epoch uint64
+	seen  bool
 }
 
 // merkleRootFormat versions the sealed root body.
@@ -84,24 +94,25 @@ func decodeMerkleRoot(body []byte) (root [merkle.HashSize]byte, epoch uint64, er
 	return root, epoch, nil
 }
 
-// loadMerkleRootLocked establishes the enclave's root commitment. With
+// loadRootLocked establishes the enclave's root commitment. With
 // force false a commitment already in enclave memory is kept; force
 // true re-reads the store (under the root object's lock, or when a
 // proof failed and another client may have advanced the epoch). The
 // epoch ordering is enforced here: once this enclave has seen epoch N,
 // any sealed root below N — or a *different* root at exactly N, the
 // fork signature — is a rollback and fails closed.
-func (e *Enclave) loadMerkleRootLocked(force bool) error {
-	if e.mkSeen && !force {
+func (m *merkleFreshness) loadRootLocked(force bool) error {
+	e := m.e
+	if m.seen && !force {
 		return nil
 	}
 	blob, _, err := e.fetchObject(MerkleRootObjectName)
 	if err != nil {
 		if isNotExist(err) {
-			if e.mkSeen && e.mkEpoch > 0 {
-				return fmt.Errorf("%w: merkle root object vanished after epoch %d", ErrStaleObject, e.mkEpoch)
+			if m.seen && m.epoch > 0 {
+				return fmt.Errorf("%w: merkle root object vanished after epoch %d", ErrStaleObject, m.epoch)
 			}
-			e.mkRoot, e.mkEpoch, e.mkSeen = merkle.EmptyRoot(), 0, true
+			m.root, m.epoch, m.seen = merkle.EmptyRoot(), 0, true
 			return nil
 		}
 		return fmt.Errorf("fetching merkle root: %w", err)
@@ -120,36 +131,37 @@ func (e *Enclave) loadMerkleRootLocked(force bool) error {
 	if epoch != p.Version {
 		return fmt.Errorf("%w: merkle root epoch %d != sealed version %d", metadata.ErrTampered, epoch, p.Version)
 	}
-	if e.mkSeen {
-		if epoch < e.mkEpoch {
-			return fmt.Errorf("%w: merkle root epoch %d < seen %d", ErrStaleObject, epoch, e.mkEpoch)
+	if m.seen {
+		if epoch < m.epoch {
+			return fmt.Errorf("%w: merkle root epoch %d < seen %d", ErrStaleObject, epoch, m.epoch)
 		}
-		if epoch == e.mkEpoch && root != e.mkRoot {
+		if epoch == m.epoch && root != m.root {
 			return fmt.Errorf("%w: merkle root diverged at epoch %d (fork detected)", ErrStaleObject, epoch)
 		}
 	}
-	e.mkRoot, e.mkEpoch, e.mkSeen = root, epoch, true
+	m.root, m.epoch, m.seen = root, epoch, true
 	return nil
 }
 
-// checkFreshnessMerkleLocked verifies a loaded object's version against
-// the root commitment: the store must produce a proof that either binds
-// id to a leaf version ≤ the loaded version, or proves id absent
-// (objects newer than the last committed batch; their own AEAD protects
-// them, as in the flat design). A first failure triggers one forced
-// root reload — another client of the same volume may have advanced the
-// epoch — then fails closed: ErrStaleObject for a proven-stale version,
-// ErrBadProof for anything that does not verify.
-func (e *Enclave) checkFreshnessMerkleLocked(id uuid.UUID, version uint64) error {
+// checkLocked verifies a loaded object's version against the root
+// commitment: the store must produce a proof that either binds id to a
+// leaf version ≤ the loaded version, or proves id absent (objects newer
+// than the last committed batch; their own AEAD protects them). A first
+// failure triggers one forced root reload — another client of the same
+// volume may have advanced the epoch — then fails closed:
+// ErrStaleObject for a proven-stale version, ErrBadProof for anything
+// that does not verify.
+func (m *merkleFreshness) checkLocked(id uuid.UUID, version uint64) error {
+	e := m.e
 	for attempt := 0; ; attempt++ {
-		if err := e.loadMerkleRootLocked(attempt > 0); err != nil {
+		if err := m.loadRootLocked(attempt > 0); err != nil {
 			return err
 		}
 		var raw []byte
-		epoch := e.mkEpoch
+		epoch := m.epoch
 		err := e.timedOcall(e.metrics.metaIO, func() error {
 			var err error
-			raw, err = e.proofStore.FreshnessProof(id, epoch)
+			raw, err = m.store.FreshnessProof(id, epoch)
 			return err
 		})
 		var verr error
@@ -160,7 +172,7 @@ func (e *Enclave) checkFreshnessMerkleLocked(id uuid.UUID, version uint64) error
 			if p, verr = merkle.DecodeProof(raw); verr == nil {
 				var leafV uint64
 				var present bool
-				if leafV, present, verr = p.Verify(e.mkRoot, id); verr == nil {
+				if leafV, present, verr = p.Verify(m.root, id); verr == nil {
 					if present && version < leafV {
 						return fmt.Errorf("%w: object %s at version %d, merkle leaf requires %d",
 							ErrStaleObject, id, version, leafV)
@@ -179,14 +191,15 @@ func (e *Enclave) checkFreshnessMerkleLocked(id uuid.UUID, version uint64) error
 	}
 }
 
-// recordFreshnessMerkleLocked commits a batch of version updates to the
-// tree and advances the enclave root. The batch is ordered
+// commitLocked commits a batch of version updates to the tree and
+// advances the enclave root. The batch is ordered
 // deterministically, the untrusted store applies it and returns one
 // proof per update, and the enclave folds each verified proof into the
 // next root (merkle.Proof.NewRoot) — O(batch · log n) work against
 // O(1) enclave state. The new root seals at epoch+1 under the root
 // object's store lock, serializing concurrent writers of the volume.
-func (e *Enclave) recordFreshnessMerkleLocked(updates map[uuid.UUID]uint64) error {
+func (m *merkleFreshness) commitLocked(updates map[uuid.UUID]uint64) error {
+	e := m.e
 	if len(updates) == 0 {
 		return nil
 	}
@@ -207,15 +220,15 @@ func (e *Enclave) recordFreshnessMerkleLocked(updates map[uuid.UUID]uint64) erro
 	defer release()
 	// Always re-read under the lock: another client may have advanced
 	// the epoch since the commitment was last loaded.
-	if err := e.loadMerkleRootLocked(true); err != nil {
+	if err := m.loadRootLocked(true); err != nil {
 		return err
 	}
 
 	var proofs [][]byte
-	epoch := e.mkEpoch
+	epoch := m.epoch
 	if err := e.timedOcall(e.metrics.metaIO, func() error {
 		var err error
-		proofs, err = e.proofStore.FreshnessUpdate(epoch, batch)
+		proofs, err = m.store.FreshnessUpdate(epoch, batch)
 		return err
 	}); err != nil {
 		return fmt.Errorf("merkle freshness update: %w", err)
@@ -223,7 +236,7 @@ func (e *Enclave) recordFreshnessMerkleLocked(updates map[uuid.UUID]uint64) erro
 	if len(proofs) != len(batch) {
 		return fmt.Errorf("%w: %d proofs for %d updates", ErrBadProof, len(proofs), len(batch))
 	}
-	root := e.mkRoot
+	root := m.root
 	for i, raw := range proofs {
 		e.metrics.proofBytes.Add(int64(len(raw)))
 		p, err := merkle.DecodeProof(raw)
@@ -251,7 +264,7 @@ func (e *Enclave) recordFreshnessMerkleLocked(updates map[uuid.UUID]uint64) erro
 		// and a retried batch converges on the same root.
 		return fmt.Errorf("uploading merkle root: %w", err)
 	}
-	e.mkRoot, e.mkEpoch, e.mkSeen = root, next, true
+	m.root, m.epoch, m.seen = root, next, true
 	e.metrics.rootUpdates.Inc()
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(blob)))

@@ -1,4 +1,4 @@
-package vfs
+package enclave
 
 import (
 	"errors"
@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"nexus/internal/backend"
-	"nexus/internal/enclave"
 	"nexus/internal/merkle"
 	"nexus/internal/obs"
 	"nexus/internal/serial"
@@ -44,13 +43,14 @@ func IsFreshnessTreeObject(name string) bool {
 // ErrEpochUnavailable reports a proof request for an epoch this store
 // cannot reconstruct (neither current, previous, nor on-store). The
 // enclave maps it to a fail-closed proof rejection.
-var ErrEpochUnavailable = errors.New("vfs: freshness tree epoch unavailable")
+var ErrEpochUnavailable = errors.New("enclave: freshness tree epoch unavailable")
 
-// FreshnessStore upgrades any enclave.ObjectStore to the
-// FreshnessProofStore surface merkle freshness mode needs: it maintains
-// the full uuid→version Merkle tree on the untrusted side and serves
-// membership/absence proofs against it, while the enclave holds only
-// the root commitment (DESIGN.md §15).
+// FreshnessStore upgrades any ObjectStore to the FreshnessProofStore
+// surface Merkle freshness needs: it maintains the full uuid→version
+// Merkle tree on the untrusted side and serves membership/absence
+// proofs against it, while the enclave holds only the root commitment
+// (DESIGN.md §15). It is untrusted code beneath the ocall surface; it
+// lives in this package so New can stack it under any plain store.
 //
 // The tree persists as plain (unsealed) store objects — they hold
 // nothing secret, only version counters, and their integrity is
@@ -72,7 +72,7 @@ var ErrEpochUnavailable = errors.New("vfs: freshness tree epoch unavailable")
 // a re-mounted enclave still at the old epoch gets epoch-consistent
 // proofs, and re-applying the interrupted batch is idempotent.
 type FreshnessStore struct {
-	inner enclave.ObjectStore
+	inner ObjectStore
 
 	mu     sync.Mutex
 	cur    *merkle.Tree
@@ -85,14 +85,14 @@ type FreshnessStore struct {
 	hasBase   bool
 }
 
-var _ enclave.FreshnessProofStore = (*FreshnessStore)(nil)
+var _ FreshnessProofStore = (*FreshnessStore)(nil)
 
 // NewFreshnessStore wraps inner. When inner supports streaming puts the
 // returned store forwards them (the enclave type-asserts for
 // StreamObjectStore on large writes).
-func NewFreshnessStore(inner enclave.ObjectStore) enclave.FreshnessProofStore {
+func NewFreshnessStore(inner ObjectStore) FreshnessProofStore {
 	fs := &FreshnessStore{inner: inner}
-	if ss, ok := inner.(enclave.StreamObjectStore); ok {
+	if ss, ok := inner.(StreamObjectStore); ok {
 		return &streamFreshnessStore{FreshnessStore: fs, stream: ss}
 	}
 	return fs
@@ -102,7 +102,7 @@ func NewFreshnessStore(inner enclave.ObjectStore) enclave.FreshnessProofStore {
 // wrapped store has it.
 type streamFreshnessStore struct {
 	*FreshnessStore
-	stream enclave.StreamObjectStore
+	stream StreamObjectStore
 }
 
 func (s *streamFreshnessStore) PutVersionedStream(name string, total int, next func() ([]byte, error)) (uint64, error) {
@@ -158,7 +158,7 @@ func encodeSnapshot(tree *merkle.Tree, epoch uint64, undo []merkle.LeafUpdate) [
 func decodeSnapshot(data []byte) (tree *merkle.Tree, epoch uint64, undo []merkle.LeafUpdate, err error) {
 	r := serial.NewReader(data)
 	if f := r.ReadUint8("freshness snapshot format"); r.Err() == nil && f != snapshotFormat {
-		return nil, 0, nil, fmt.Errorf("vfs: unknown freshness snapshot format %d", f)
+		return nil, 0, nil, fmt.Errorf("enclave: unknown freshness snapshot format %d", f)
 	}
 	epoch = r.ReadUint64("freshness snapshot epoch")
 	undo = readLeafUpdates(r, "freshness undo")
@@ -185,7 +185,7 @@ func encodeDelta(epoch uint64, updates []merkle.LeafUpdate) []byte {
 func decodeDelta(data []byte) (epoch uint64, updates []merkle.LeafUpdate, err error) {
 	r := serial.NewReader(data)
 	if f := r.ReadUint8("freshness delta format"); r.Err() == nil && f != deltaFormat {
-		return 0, nil, fmt.Errorf("vfs: unknown freshness delta format %d", f)
+		return 0, nil, fmt.Errorf("enclave: unknown freshness delta format %d", f)
 	}
 	epoch = r.ReadUint64("freshness delta epoch")
 	updates = readLeafUpdates(r, "freshness delta")
@@ -379,7 +379,7 @@ func (s *FreshnessStore) treeAtLocked(epoch uint64) (*merkle.Tree, error) {
 	return t, nil
 }
 
-// FreshnessProof implements enclave.FreshnessProofStore.
+// FreshnessProof implements FreshnessProofStore.
 func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,7 +390,7 @@ func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, err
 	return t.Prove(id).Encode(), nil
 }
 
-// FreshnessUpdate implements enclave.FreshnessProofStore: it applies
+// FreshnessUpdate implements FreshnessProofStore: it applies
 // the batch to the tree at the given epoch and returns one proof per
 // update, each against the tree state just before that update — the
 // sequence the enclave folds into its next root. If the tree is already

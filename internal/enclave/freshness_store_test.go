@@ -1,11 +1,9 @@
-package vfs
+package enclave
 
 import (
 	"errors"
 	"testing"
 
-	"nexus/internal/backend"
-	"nexus/internal/enclave"
 	"nexus/internal/merkle"
 	"nexus/internal/uuid"
 )
@@ -17,9 +15,9 @@ func fsTestUUID(b byte) uuid.UUID {
 	return id
 }
 
-func newTestFreshnessStore(t *testing.T) (*FreshnessStore, enclave.ObjectStore) {
+func newTestFreshnessStore(t *testing.T) (*FreshnessStore, ObjectStore) {
 	t.Helper()
-	inner := NewVersionedStore(backend.NewMemStore())
+	inner := newStreamMemStore()
 	fs, ok := NewFreshnessStore(inner).(interface {
 		FreshnessProof(uuid.UUID, uint64) ([]byte, error)
 		FreshnessUpdate(uint64, []merkle.LeafUpdate) ([][]byte, error)
@@ -27,7 +25,7 @@ func newTestFreshnessStore(t *testing.T) (*FreshnessStore, enclave.ObjectStore) 
 	if !ok {
 		t.Fatal("NewFreshnessStore lost the proof surface")
 	}
-	// VersionedStore streams, so the wrapper is the stream variant;
+	// streamMemStore streams, so the wrapper is the stream variant;
 	// reach the embedded FreshnessStore for white-box assertions.
 	sfs, ok := fs.(*streamFreshnessStore)
 	if !ok {

@@ -8,11 +8,12 @@ import (
 	"nexus/internal/sgx"
 )
 
-// newFreshnessEnv builds a mounted volume with the freshness tree on.
+// newFreshnessEnv builds a mounted volume on the flat freshness table
+// oracle (flat_freshness_test.go).
 func newFreshnessEnv(t *testing.T) (*testEnv, *Enclave, identity) {
 	t.Helper()
 	env := newTestEnv(t, nil, nil)
-	encl, err := New(Config{SGX: env.enclave.sgx, Store: env.store, IAS: env.ias, FreshnessTree: true})
+	encl, err := NewWithFlatFreshness(Config{SGX: env.enclave.sgx, Store: env.store, IAS: env.ias})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFreshnessTreeCatchesWholeSnapshotRollback(t *testing.T) {
 
 	// A brand-new enclave instance (fresh platform state is fine — the
 	// table is on the store) mounts and must detect the rollback.
-	encl2, err := New(Config{SGX: e.sgx, Store: env.store, IAS: env.ias, FreshnessTree: true})
+	encl2, err := NewWithFlatFreshness(Config{SGX: e.sgx, Store: env.store, IAS: env.ias})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +128,10 @@ func TestFreshnessTreeCatchesWholeSnapshotRollback(t *testing.T) {
 	}
 }
 
-// TestPerObjectCountersMissSnapshotRollback documents why the tree
-// matters: without it, a fresh enclave accepts the stale snapshot.
+// TestPerObjectCountersMissSnapshotRollback documents the bound every
+// freshness commitment shares (§VI-C): a server that rolls back the
+// whole volume, commitment included, fools an enclave that has no local
+// memory of anything newer. Only the enclave's own state detects it.
 func TestPerObjectCountersMissSnapshotRollback(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, _, _ := newMountedVolume(t, owner)
@@ -158,7 +161,8 @@ func TestPerObjectCountersMissSnapshotRollback(t *testing.T) {
 		}
 	}
 
-	// Fresh enclave with NO freshness tree: the stale state verifies.
+	// Fresh enclave, no memory of the newer epoch: the stale state,
+	// Merkle root included, verifies.
 	encl2, err := New(Config{SGX: e.sgx, Store: env.store, IAS: env.ias})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +176,7 @@ func TestPerObjectCountersMissSnapshotRollback(t *testing.T) {
 	}
 	entries, err := encl2.Filldir("/docs")
 	if err != nil {
-		t.Fatalf("per-object mode rejected consistent snapshot: %v", err)
+		t.Fatalf("fresh enclave rejected a consistent whole-volume snapshot: %v", err)
 	}
 	if len(entries) != 0 {
 		t.Fatalf("stale snapshot shows %d entries (expected the old empty dir)", len(entries))
@@ -212,6 +216,151 @@ func TestFreshnessTreeCostsOneExtraObject(t *testing.T) {
 	}
 }
 
-// Ensure the sgx image used by freshness envs matches the shared one (a
-// compile-time usage of the import).
-var _ = sgx.Image{}
+// replayStale overwrites name on the store with an older blob and drops
+// the caches, so the next load sees the replayed copy.
+func replayStale(t *testing.T, e *Enclave, store *memObjectStore, name string, old []byte) {
+	t.Helper()
+	if _, err := store.PutVersioned(name, old); err != nil {
+		t.Fatal(err)
+	}
+	e.DropCaches()
+}
+
+// TestDefaultEnclaveCommitsFreshness checks that New over a plain store
+// (no proof service) stacks the freshness store itself: the first drain
+// advances the Merkle root, and a replayed stale filenode is rejected.
+func TestDefaultEnclaveCommitsFreshness(t *testing.T) {
+	store := newMemObjectStore()
+	e := newAuthedEnclave(t, Config{Store: store, Writeback: WritebackOn})
+	if err := e.Touch("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteFile("/f", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Obs().CounterValue("enclave_freshness_root_updates_total"); n == 0 {
+		t.Fatal("first drain committed no freshness root")
+	}
+	filenode := fileObjectNames(t, e, "/f")[0]
+	old, _, err := store.GetVersioned(filenode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteFile("/f", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	replayStale(t, e, store, filenode, old)
+	if _, err := e.ReadFile("/f"); !errors.Is(err, ErrStaleObject) {
+		t.Fatalf("stale filenode replay = %v, want ErrStaleObject", err)
+	}
+}
+
+// TestVolumeWithoutMerkleStateMounts pins compatibility for volumes the
+// Merkle tree has never seen: one written through the flat table, and
+// one written with no freshness state at all. The default enclave
+// mounts them and reads them back (objects absent from the tree pass),
+// and its first drain adds what it flushes, so a replay of the
+// pre-upgrade filenode is then caught.
+func TestVolumeWithoutMerkleStateMounts(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		newEncl func(Config) (*Enclave, error)
+		strip   bool // delete the Merkle objects after writing
+	}{
+		{"flat table", NewWithFlatFreshness, false},
+		{"no freshness state", New, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			owner := newIdentity(t, "owen")
+			ias, err := sgx.NewAttestationService()
+			if err != nil {
+				t.Fatal(err)
+			}
+			platform, err := sgx.NewPlatform(sgx.PlatformConfig{}, ias)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := newMemObjectStore()
+			enclaveOn := func(newEncl func(Config) (*Enclave, error), wb WritebackMode) *Enclave {
+				t.Helper()
+				container, err := platform.CreateEnclave(nexusImage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := newEncl(Config{SGX: container, Store: store, IAS: ias, Writeback: wb})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+
+			writer := enclaveOn(tc.newEncl, WritebackEager)
+			sealed, err := writer.CreateVolume(owner.name, owner.pub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			volID, err := writer.VolumeUUID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := authenticate(t, writer, owner, sealed, volID); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.Mkdir("/d"); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.Touch("/d/f"); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.WriteFile("/d/f", []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			filenode := fileObjectNames(t, writer, "/d/f")[0]
+			old, _, err := store.GetVersioned(filenode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, err := store.mem.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range names {
+				if n == MerkleRootObjectName || IsFreshnessTreeObject(n) {
+					if !tc.strip {
+						t.Fatalf("flat-table writer left Merkle object %q", n)
+					}
+					if err := store.Delete(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			reader := enclaveOn(New, WritebackOn)
+			if err := authenticate(t, reader, owner, sealed, volID); err != nil {
+				t.Fatalf("mount on the default enclave: %v", err)
+			}
+			if got, err := reader.ReadFile("/d/f"); err != nil || string(got) != "v1" {
+				t.Fatalf("ReadFile = %q, %v", got, err)
+			}
+			if err := reader.WriteFile("/d/f", []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			if err := reader.SyncMetadata(); err != nil {
+				t.Fatal(err)
+			}
+			if n := reader.Obs().CounterValue("enclave_freshness_root_updates_total"); n == 0 {
+				t.Fatal("first drain committed no freshness root")
+			}
+			replayStale(t, reader, store, filenode, old)
+			if _, err := reader.ReadFile("/d/f"); !errors.Is(err, ErrStaleObject) {
+				t.Fatalf("replayed pre-upgrade filenode = %v, want ErrStaleObject", err)
+			}
+		})
+	}
+}

@@ -42,6 +42,41 @@ func TestTouchWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// fileObjectNames returns the store names of the filenode and the data
+// object behind path.
+func fileObjectNames(t *testing.T, e *Enclave, path string) []string {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	dirs, base, err := splitPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := e.walkDirLocked(dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := w.dir.Lookup(base, e.bucketLoaderFor(w.dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := e.loadFilenode(entry.UUID, w.dir.UUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []string{objName(entry.UUID), objName(f.DataUUID)}
+}
+
+// storeHas reports whether the store holds an object named name.
+func storeHas(t *testing.T, s *memObjectStore, name string) bool {
+	t.Helper()
+	_, _, err := s.GetVersioned(name)
+	if err != nil && !isNotExist(err) {
+		t.Fatal(err)
+	}
+	return err == nil
+}
+
 func TestCiphertextOnStore(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, _, _ := newMountedVolume(t, owner)
@@ -70,9 +105,10 @@ func TestCiphertextOnStore(t *testing.T) {
 			t.Fatalf("object %s leaks the file name", n)
 		}
 	}
-	// Object names are obfuscated UUIDs plus the supernode.
+	// Object names are obfuscated UUIDs plus the supernode and the
+	// freshness objects (the sealed Merkle root and the untrusted tree).
 	for _, n := range names {
-		if n == SupernodeObjectName {
+		if n == SupernodeObjectName || n == MerkleRootObjectName || IsFreshnessTreeObject(n) {
 			continue
 		}
 		if len(n) != 32 {
@@ -169,13 +205,20 @@ func TestRemoveSemantics(t *testing.T) {
 	if err := e.Remove("/d"); !errors.Is(err, ErrNotEmpty) {
 		t.Fatalf("Remove non-empty = %v", err)
 	}
-	objectsBefore := env.store.mem.Size()
+	objects := fileObjectNames(t, e, "/d/f")
+	for _, n := range objects {
+		if !storeHas(t, env.store, n) {
+			t.Fatalf("object %s missing before removal", n)
+		}
+	}
 	if err := e.Remove("/d/f"); err != nil {
 		t.Fatalf("Remove file: %v", err)
 	}
 	// Removing the file drops its filenode and data object.
-	if got := env.store.mem.Size(); got >= objectsBefore {
-		t.Fatalf("objects after file removal = %d, before = %d", got, objectsBefore)
+	for _, n := range objects {
+		if storeHas(t, env.store, n) {
+			t.Fatalf("object %s survives file removal", n)
+		}
 	}
 	if _, err := e.ReadFile("/d/f"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("read after remove = %v", err)
@@ -341,6 +384,7 @@ func TestHardlink(t *testing.T) {
 	if err := e.Hardlink("/f", "/d/link"); err != nil {
 		t.Fatalf("Hardlink: %v", err)
 	}
+	objects := fileObjectNames(t, e, "/d/link")
 
 	st, err := e.Lookup("/f")
 	if err != nil || st.Links != 2 {
@@ -368,12 +412,18 @@ func TestHardlink(t *testing.T) {
 	if err != nil || string(got) != "updated" {
 		t.Fatalf("read after first unlink = %q, %v", got, err)
 	}
-	objectsBefore := env.store.mem.Size()
+	for _, n := range objects {
+		if !storeHas(t, env.store, n) {
+			t.Fatalf("object %s freed while a link remains", n)
+		}
+	}
 	if err := e.Remove("/d/link"); err != nil {
 		t.Fatal(err)
 	}
-	if got := env.store.mem.Size(); got >= objectsBefore {
-		t.Fatal("data object not freed after last unlink")
+	for _, n := range objects {
+		if storeHas(t, env.store, n) {
+			t.Fatalf("object %s not freed after last unlink", n)
+		}
 	}
 
 	// Directories cannot be hardlinked.

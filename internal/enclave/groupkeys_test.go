@@ -221,48 +221,23 @@ func TestGroupRevokedUserFailsAuth(t *testing.T) {
 	}
 }
 
-func TestGroupKeysDisabledKnob(t *testing.T) {
-	owner := newIdentity(t, "owen")
-	env := newTestEnvCfg(t, nil, func(c *Config) { c.DisableGroupKeys = true })
-	e := env.enclave
-	sealed, err := e.CreateVolume(owner.name, owner.pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	volID, err := e.VolumeUUID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := authenticate(t, e, owner, sealed, volID); err != nil {
-		t.Fatalf("authenticate with knob off: %v", err)
-	}
-	alice := newIdentity(t, "alice")
-	if _, err := e.AddUser("alice", alice.pub); err != nil {
-		t.Fatalf("AddUser with knob off: %v", err)
-	}
+// stripGroupTree turns e's mounted volume into one that predates the
+// membership key tree: the supernode is flushed without its tree.
+func stripGroupTree(t *testing.T, e *Enclave) {
+	t.Helper()
 	e.mu.Lock()
-	tree := e.super.GroupTree
-	e.mu.Unlock()
-	if tree != nil {
-		t.Fatal("knob off but a tree was built")
-	}
-	if _, err := e.UserGroup("alice"); !errors.Is(err, ErrGroupKeysDisabled) {
-		t.Fatalf("UserGroup = %v, want ErrGroupKeysDisabled", err)
-	}
-	if err := e.SetGroupACL("/", 0, acl.ReadOnly); !errors.Is(err, ErrGroupKeysDisabled) {
-		t.Fatalf("SetGroupACL = %v, want ErrGroupKeysDisabled", err)
-	}
-	if err := e.RemoveUser("alice"); err != nil {
-		t.Fatalf("RemoveUser with knob off: %v", err)
+	defer e.mu.Unlock()
+	e.super.GroupTree = nil
+	if err := e.flushSupernodeLocked(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLegacyVolumeWithoutTreeMounts(t *testing.T) {
-	// A volume created with the knob off (no tree in the supernode) must
-	// mount and authenticate on an enclave with group keys enabled, and
-	// migrate on the next AddUser.
+	// A volume that predates the key tree (no tree in the supernode) must
+	// mount and authenticate, and migrate on the next AddUser.
 	owner := newIdentity(t, "owen")
-	legacyEnv := newTestEnvCfg(t, nil, func(c *Config) { c.DisableGroupKeys = true })
+	legacyEnv := newTestEnvCfg(t, nil, nil)
 	sealed, err := legacyEnv.enclave.CreateVolume(owner.name, owner.pub)
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +253,24 @@ func TestLegacyVolumeWithoutTreeMounts(t *testing.T) {
 	if _, err := legacyEnv.enclave.AddUser("alice", alice.pub); err != nil {
 		t.Fatal(err)
 	}
+	dave := newIdentity(t, "dave")
+	if _, err := legacyEnv.enclave.AddUser("dave", dave.pub); err != nil {
+		t.Fatal(err)
+	}
+	stripGroupTree(t, legacyEnv.enclave)
+	// Without a tree, group operations fail typed and revocation is a
+	// plain user-table edit.
+	if _, err := legacyEnv.enclave.UserGroup("alice"); !errors.Is(err, ErrGroupKeysDisabled) {
+		t.Fatalf("UserGroup on legacy volume = %v, want ErrGroupKeysDisabled", err)
+	}
+	if err := legacyEnv.enclave.SetGroupACL("/", 0, acl.ReadOnly); !errors.Is(err, ErrGroupKeysDisabled) {
+		t.Fatalf("SetGroupACL on legacy volume = %v, want ErrGroupKeysDisabled", err)
+	}
+	if err := legacyEnv.enclave.RemoveUser("dave"); err != nil {
+		t.Fatalf("RemoveUser on legacy volume: %v", err)
+	}
 
-	// Same platform, group keys on.
+	// Same platform, a fresh enclave.
 	container, err := legacyEnv.platform.CreateEnclave(nexusImage)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
-// Property test: merkle freshness mode against the flat-table oracle.
-// Two full enclave stacks — one Config.FreshnessMerkle, one
-// Config.FreshnessTree — consume an identical seeded operation stream
+// Property test: merkle freshness against the flat-table oracle. Two
+// full enclave stacks — the default one, and one built by
+// NewWithFlatFreshness — consume an identical seeded operation stream
 // (mutations, reads, cache drops, remounts, and stale-replay attacks)
 // and must return identical accept/reject verdicts for every step.
 // Reproduce a failure with NEXUS_MERKLE_SEED=<seed>.
@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"nexus/internal/enclave"
-	"nexus/internal/vfs"
 )
 
 func merklePropSeed(t *testing.T) int64 {
@@ -51,11 +50,10 @@ func newOracleClient(t *testing.T) *merkleClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := enclave.New(enclave.Config{
-		SGX:           container,
-		Store:         raw,
-		IAS:           c2.ias,
-		FreshnessTree: true,
+	e, err := enclave.NewWithFlatFreshness(enclave.Config{
+		SGX:   container,
+		Store: raw,
+		IAS:   c2.ias,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +108,7 @@ func TestPropertyMerkleVsFlatTableOracle(t *testing.T) {
 	excluded := func(name string) bool {
 		return name == enclave.FreshnessObjectName ||
 			name == enclave.MerkleRootObjectName ||
-			vfs.IsFreshnessTreeObject(name)
+			enclave.IsFreshnessTreeObject(name)
 	}
 
 	var snapM, snapF storeSnapshot
@@ -209,7 +207,7 @@ func TestPropertyMerkleVsFlatTableOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eF, err := enclave.New(enclave.Config{SGX: containerF, Store: fc.raw, IAS: fc.ias, FreshnessTree: true})
+	eF, err := enclave.NewWithFlatFreshness(enclave.Config{SGX: containerF, Store: fc.raw, IAS: fc.ias})
 	if err != nil {
 		t.Fatal(err)
 	}

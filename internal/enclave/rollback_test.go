@@ -1,13 +1,12 @@
-// Adversarial rollback/fork suite for merkle freshness mode
-// (Config.FreshnessMerkle, DESIGN.md §15). The store and the proof
-// channel are both controlled by a malicious server here; every attack
-// must fail closed with a typed error — ErrStaleObject for proven
-// rollbacks and forks, ErrBadProof for proofs that do not verify —
-// never be silently accepted.
+// Adversarial rollback/fork suite for merkle freshness (DESIGN.md §15).
+// The store and the proof channel are both controlled by a malicious
+// server here; every attack must fail closed with a typed error —
+// ErrStaleObject for proven rollbacks and forks, ErrBadProof for proofs
+// that do not verify — never be silently accepted.
 //
-// The suite lives in an external test package so it can stack the real
-// untrusted-side plumbing (vfs.FreshnessStore) under the enclave, the
-// exact configuration nexus.NewClient builds.
+// The malicious proof channel wraps the real untrusted-side plumbing
+// (enclave.FreshnessStore); enclave.New uses a store that already
+// serves proofs as given, so the attacks reach the enclave unfiltered.
 package enclave_test
 
 import (
@@ -24,7 +23,6 @@ import (
 	"nexus/internal/obs"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
-	"nexus/internal/vfs"
 )
 
 // rollbackImage is the shared enclave measurement: sealed blobs only
@@ -222,7 +220,7 @@ func newMerkleClient(t *testing.T) *merkleClient {
 		ias:    ias,
 		plat:   plat,
 		raw:    raw,
-		proofs: newProofMangler(vfs.NewFreshnessStore(raw)),
+		proofs: newProofMangler(enclave.NewFreshnessStore(raw)),
 		reg:    obs.NewRegistry(),
 	}
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
@@ -254,11 +252,10 @@ func (c *merkleClient) newEnclave(t *testing.T, store enclave.ObjectStore) *encl
 		t.Fatal(err)
 	}
 	e, err := enclave.New(enclave.Config{
-		SGX:             container,
-		Store:           store,
-		IAS:             c.ias,
-		FreshnessMerkle: true,
-		Obs:             c.reg,
+		SGX:   container,
+		Store: store,
+		IAS:   c.ias,
+		Obs:   c.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +372,7 @@ func TestRollbackWholeVolumeFreshClient(t *testing.T) {
 	}
 
 	c.raw.restore(snap, enclave.MerkleRootObjectName)
-	c.proofs.setInner(vfs.NewFreshnessStore(c.raw))
+	c.proofs.setInner(enclave.NewFreshnessStore(c.raw))
 	e2 := c.newEnclave(t, c.proofs)
 	err := c.mount(e2)
 	if err == nil {
@@ -400,7 +397,7 @@ func TestRollbackSealedRootEpochRegression(t *testing.T) {
 	}
 
 	c.raw.restore(snap)
-	c.proofs.setInner(vfs.NewFreshnessStore(c.raw))
+	c.proofs.setInner(enclave.NewFreshnessStore(c.raw))
 	c.encl.DropCaches()
 	_, err := c.encl.Filldir("/docs")
 	if !errors.Is(err, enclave.ErrStaleObject) {
@@ -429,7 +426,7 @@ func TestForkedHistoriesDetected(t *testing.T) {
 	// symmetric operation, advancing to the same epoch with a
 	// different root.
 	c.raw.restore(snap)
-	eB := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+	eB := c.newEnclave(t, enclave.NewFreshnessStore(c.raw))
 	if err := c.mount(eB); err != nil {
 		t.Fatalf("fork client mount: %v", err)
 	}
@@ -438,7 +435,7 @@ func TestForkedHistoriesDetected(t *testing.T) {
 	}
 
 	// The server now serves history B to client A.
-	c.proofs.setInner(vfs.NewFreshnessStore(c.raw))
+	c.proofs.setInner(enclave.NewFreshnessStore(c.raw))
 	c.encl.DropCaches()
 	_, err := c.encl.Filldir("/docs")
 	if !errors.Is(err, enclave.ErrStaleObject) {

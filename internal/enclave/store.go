@@ -23,10 +23,9 @@ type metaCache struct {
 
 type cacheEntry struct {
 	version uint64 // store version the decode came from
-	// objVersion is the sealed preamble version of the cached object.
-	// Cache hits must report it — not the freshness-map entry, which can
-	// be absent (pruned, or lost across a remount) and would make the
-	// next flush restart at version 1 and trip ErrStaleMetadata.
+	// objVersion is the sealed preamble version of the cached object;
+	// cache hits report it so the next flush continues the object's
+	// version sequence.
 	objVersion uint64
 	obj        any   // *metadata.Dirnode or *metadata.Filenode
 	charged    int64 // EPC bytes charged
@@ -270,14 +269,9 @@ func (e *Enclave) openBlobChecked(id uuid.UUID, blob []byte, wantType metadata.O
 		return metadata.Preamble{}, nil, fmt.Errorf("%w: object %s has parent %s, want %s (file-swap defence)",
 			metadata.ErrTampered, id, p.Parent, *wantParent)
 	}
-	if last, ok := e.freshness[id]; ok && p.Version < last {
-		return metadata.Preamble{}, nil, fmt.Errorf("%w: %s %s version %d < seen %d",
-			ErrStaleMetadata, wantType, id, p.Version, last)
-	}
-	if err := e.checkFreshnessLocked(id, p.Version); err != nil {
+	if err := e.fresh.checkLocked(id, p.Version); err != nil {
 		return metadata.Preamble{}, nil, err
 	}
-	e.noteSeenLocked(id, p.Version)
 	return p, body, nil
 }
 
@@ -416,20 +410,17 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 	freshUpdates := map[uuid.UUID]uint64{d.UUID: version}
 	for _, old := range savedRetired {
 		freshUpdates[old] = 0
-		delete(e.freshness, old)
 	}
 	for _, pl := range plans {
 		b := d.Buckets[pl.idx]
 		b.UUID = pl.newUUID
 		b.Dirty = false
 		b.OnStore = true
-		e.noteSeenLocked(pl.newUUID, version)
 		freshUpdates[pl.newUUID] = version
 		e.metrics.metadataFlushes.Inc()
 		e.metrics.metadataBytes.Add(int64(len(pl.blob)))
 	}
 	d.Refs, d.Retired = stagedRefs, stagedRetired
-	e.noteSeenLocked(d.UUID, version)
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(mainBlob)))
 	if e.cache != nil {
@@ -500,7 +491,6 @@ func (e *Enclave) flushFilenodeLocked(f *metadata.Filenode, version uint64) erro
 	if err != nil {
 		return fmt.Errorf("uploading filenode %s: %w", f.UUID, err)
 	}
-	e.noteSeenLocked(f.UUID, version)
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(blob)))
 	if e.cache != nil {

@@ -21,8 +21,8 @@ package enclave
 //     see an entirely-old or entirely-new snapshot;
 //   - deferred deletes run after all uploads, so no on-store dirnode
 //     ever references a deleted object;
-//   - the freshness table (when enabled) is rewritten once per batch,
-//     absorbing every per-object update through e.freshSink.
+//   - the freshness commitment advances once per batch, absorbing
+//     every per-object update through e.freshSink.
 //
 // Deferred dirnode mutations also keep a per-node op log (insert/remove
 // by name). Batched ops skip the per-op store lock; at drain time the
@@ -46,13 +46,10 @@ type WritebackMode string
 
 const (
 	// WritebackEager is the zero value: flush metadata inline on every
-	// mutation (historical behaviour).
+	// mutation (the ClientConfig knob maps "off" here).
 	WritebackEager WritebackMode = ""
 	// WritebackOn defers metadata flushes into the dirty set.
 	WritebackOn WritebackMode = "on"
-	// WritebackOff is an explicit spelling of eager mode (the
-	// ClientConfig knob maps "off" here).
-	WritebackOff WritebackMode = "off"
 )
 
 // Defaults for the dirty-set high-water marks.
@@ -292,7 +289,7 @@ func (e *Enclave) drainWithRetryLocked() error {
 }
 
 // drainLocked flushes the whole dirty set in dependency order and
-// rewrites the freshness table once. On failure the un-flushed portion
+// advances the freshness commitment once. On failure the un-flushed portion
 // of the set is left intact for retry.
 func (e *Enclave) drainLocked() error {
 	if e.wb == nil || (len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.wb.superDirty &&
@@ -306,7 +303,7 @@ func (e *Enclave) drainLocked() error {
 	defer span.End()
 
 	// Per-object freshness updates from the individual flushes collect
-	// in freshSink; the table is rewritten once below.
+	// in freshSink; the commitment advances once below.
 	e.freshSink = make(map[uuid.UUID]uint64)
 	err := e.flushDirtyNodesLocked()
 	if err == nil && e.wb.superDirty {
@@ -395,11 +392,8 @@ func (e *Enclave) flushDirtyNodesLocked() error {
 		if err := e.deleteObject(objName(del.id)); err != nil && !isNotExist(err) {
 			return err
 		}
-		if del.meta {
-			delete(e.freshness, del.id)
-			if e.freshSink != nil {
-				e.freshSink[del.id] = 0
-			}
+		if del.meta && e.freshSink != nil {
+			e.freshSink[del.id] = 0
 		}
 		e.wb.deletes = e.wb.deletes[1:]
 		delete(e.wb.delSeen, del.id)

@@ -422,7 +422,7 @@ func TestPropertyWritebackModesConverge(t *testing.T) {
 	}
 
 	wbTree, _ := run(WritebackOn)
-	eagerTree, _ := run(WritebackOff)
+	eagerTree, _ := run(WritebackEager)
 	if len(wbTree) != len(eagerTree) {
 		t.Fatalf("tree sizes diverge: writeback %d, eager %d", len(wbTree), len(eagerTree))
 	}
@@ -438,9 +438,10 @@ func TestPropertyWritebackModesConverge(t *testing.T) {
 }
 
 // TestCacheHitVersionSurvivesFreshnessLoss is the regression for the
-// cache-hit version bug: loadDirnode used to return e.freshness[id] on
-// a cache hit, which is 0 once the freshness entry is gone, making the
-// next flush write version 1 and torch the object's history.
+// cache-hit version bug: loadDirnode used to return a per-object
+// freshness-map entry on a cache hit, which was 0 once the entry was
+// gone, making the next flush write version 1 and torch the object's
+// history. A cache hit must report the cached preamble version.
 func TestCacheHitVersionSurvivesFreshnessLoss(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, _, _ := newMountedVolume(t, owner)
@@ -459,10 +460,6 @@ func TestCacheHitVersionSurvivesFreshnessLoss(t *testing.T) {
 	if v1 == 0 {
 		t.Fatal("root dirnode version 0 after a flush")
 	}
-	// Simulate freshness-map loss (e.g. an eviction strategy or a future
-	// partial reload): the cached copy must still report its preamble
-	// version, not the missing map entry.
-	delete(e.freshness, root)
 	hitsBefore := e.metrics.metadataCacheHits.Value()
 	_, v2, err := e.loadDirnode(root, e.super.VolumeUUID)
 	if err != nil {
@@ -481,8 +478,12 @@ func TestCacheHitVersionSurvivesFreshnessLoss(t *testing.T) {
 // caches are dropped and the dirty set drained, every byte charged for
 // cached or pinned metadata must be back with the platform.
 func TestEPCReturnsToZeroAfterRemove(t *testing.T) {
-	for _, mode := range []WritebackMode{WritebackOff, WritebackOn} {
-		t.Run(string("mode="+mode), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode WritebackMode
+	}{{"off", WritebackEager}, {"on", WritebackOn}} {
+		mode := tc.mode
+		t.Run("mode="+tc.name, func(t *testing.T) {
 			owner := newIdentity(t, "owen")
 			env := newWbEnv(t, owner, Config{Writeback: mode})
 			e := env.enclave
@@ -545,7 +546,7 @@ func TestWritebackFlushReduction(t *testing.T) {
 		return e.Stats().MetadataFlushes - before
 	}
 	wb := run(WritebackOn)
-	eager := run(WritebackOff)
+	eager := run(WritebackEager)
 	if wb <= 0 || eager <= 0 {
 		t.Fatalf("flush counters did not move: writeback %d, eager %d", wb, eager)
 	}

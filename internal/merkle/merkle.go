@@ -16,7 +16,7 @@
 // Mutations path-copy: nodes are immutable once linked, every update
 // rebuilds only the root-to-leaf spine (expected O(log n) for random
 // UUIDs), and Clone is a pointer copy. The untrusted proof server
-// (vfs.FreshnessStore) leans on this to keep the previous epoch's
+// (enclave.FreshnessStore) leans on this to keep the previous epoch's
 // snapshot at the cost of one spine per updated leaf.
 package merkle
 
@@ -179,7 +179,7 @@ func (t *Tree) Lookup(id uuid.UUID) (uint64, bool) {
 }
 
 // Set assigns version to id; version 0 removes id (removing an absent
-// key is a no-op, mirroring the freshness table's delete semantics).
+// key is a no-op, matching the enclave's version-0 freshness deletes).
 func (t *Tree) Set(id uuid.UUID, version uint64) {
 	if version == 0 {
 		var removed bool

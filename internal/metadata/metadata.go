@@ -44,8 +44,8 @@ const (
 	TypeDirnode
 	TypeFilenode
 	TypeDirBucket
-	// TypeFreshness is the optional volume-wide version table (the
-	// §VI-C hash-tree mitigation implemented in internal/enclave).
+	// TypeFreshness is the volume's sealed freshness commitment (the
+	// §VI-C hash-tree mitigation, a Merkle root; internal/enclave).
 	TypeFreshness
 	// TypeRefTable is the content-addressed store's chunk
 	// reference-count table (DESIGN.md §16), one per volume.

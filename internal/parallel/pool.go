@@ -48,8 +48,15 @@ type Buf struct {
 // concurrent use.
 type Arena struct {
 	classes [numClasses]sync.Pool
-	hits    atomic.Uint64
-	misses  atomic.Uint64
+	// last holds each class's most recently released buffer, checked
+	// before the pool. sync.Pool keeps a released buffer in a per-P slot
+	// that other Ps cannot see (and under the race detector drops some
+	// Puts on purpose), so a goroutine that the scheduler moved between
+	// Release and the next Get would miss; the slot makes that
+	// sequential reuse — the common data-path pattern — a certain hit.
+	last   [numClasses]atomic.Pointer[Buf]
+	hits   atomic.Uint64
+	misses atomic.Uint64
 	// onHit/onMiss let an owner mirror the counters into its metrics
 	// registry (enclave_chunk_pool_{hits,misses}_total) without the
 	// arena importing obs. Set once before use; never called with locks
@@ -105,8 +112,13 @@ func (a *Arena) Get(n int) *Buf {
 		a.miss()
 		return &Buf{B: make([]byte, n), arena: a, class: -1}
 	}
-	if v := a.classes[c].Get(); v != nil {
-		b := v.(*Buf)
+	b := a.last[c].Swap(nil)
+	if b == nil {
+		if v := a.classes[c].Get(); v != nil {
+			b = v.(*Buf)
+		}
+	}
+	if b != nil {
 		b.B = b.B[:n]
 		b.sensitive = false
 		b.released = false
@@ -161,5 +173,7 @@ func (b *Buf) Release() {
 	}
 	a := b.arena
 	b.B = b.B[:cap(b.B)]
-	a.classes[b.class].Put(b)
+	if !a.last[b.class].CompareAndSwap(nil, b) {
+		a.classes[b.class].Put(b)
+	}
 }

@@ -214,25 +214,6 @@ type ClientConfig struct {
 	// DisableMetadataCache turns off the in-enclave metadata cache
 	// (ablation studies).
 	DisableMetadataCache bool
-	// FreshnessFlat opts out of the default Merkle-authenticated
-	// namespace in favour of the legacy flat freshness table (§VI-C):
-	// every metadata object's version recorded in one authenticated
-	// table re-sealed on each write — O(n) state, kept as the
-	// differential oracle and the `-exp freshness` baseline. Mutually
-	// exclusive with FreshnessMerkle.
-	FreshnessFlat bool
-	// FreshnessTree is a deprecated alias for FreshnessFlat, retained
-	// for configs written before the Merkle namespace became the
-	// default.
-	FreshnessTree bool
-	// FreshnessMerkle requests the Merkle-authenticated namespace
-	// (DESIGN.md §15): whole-volume rollback protection with O(1)
-	// enclave-resident state and O(log n) proofs per metadata load. The
-	// client wraps the store in vfs.NewFreshnessStore automatically
-	// when it does not already serve proofs. This is the DEFAULT — the
-	// field is retained so configs can state it explicitly, and setting
-	// it alongside FreshnessFlat is an error.
-	FreshnessMerkle bool
 	// WritebackMode selects the metadata flush policy: "on" (and the
 	// default, "") batches metadata flushes in an in-enclave dirty set
 	// drained at barriers — File.Sync/Close, FS.Sync, FS.WriteFile,
@@ -247,13 +228,6 @@ type ClientConfig struct {
 	// WritebackMaxBytes caps estimated batched metadata bytes before an
 	// inline drain (default 4 MiB; write-back mode only).
 	WritebackMaxBytes int64
-	// DisableGroupKeys turns off the membership key tree (flat-list
-	// user management, the pre-tree behaviour kept for comparison in
-	// the revocation sweep). With the default (false) the enclave
-	// maintains a subgroup key tree over the volume's users: revoking a
-	// user rotates O(log n) keys, and directory ACLs can grant rights
-	// to whole leaf subgroups. See Volume.SetGroupACL and DESIGN.md §13.
-	DisableGroupKeys bool
 	// Obs, when set, is the observability registry the whole stack
 	// (vfs, enclave, SGX transitions) records into — share one registry
 	// across clients to aggregate, or leave nil for a private registry
@@ -284,19 +258,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("nexus: ClientConfig.Store is required")
 	}
-	// Merkle freshness is the default; the flat table is the explicit
-	// opt-out (FreshnessTree is its pre-rename spelling).
-	if cfg.FreshnessMerkle && (cfg.FreshnessFlat || cfg.FreshnessTree) {
-		return nil, fmt.Errorf("nexus: FreshnessMerkle and FreshnessFlat are mutually exclusive")
-	}
-	flatFreshness := cfg.FreshnessFlat || cfg.FreshnessTree
-	merkleFreshness := !flatFreshness
 	var writeback enclave.WritebackMode
 	switch cfg.WritebackMode {
 	case "", "on":
 		writeback = enclave.WritebackOn
 	case "off":
-		writeback = enclave.WritebackOff
+		writeback = enclave.WritebackEager
 	default:
 		return nil, fmt.Errorf("nexus: unknown WritebackMode %q (want \"on\" or \"off\")", cfg.WritebackMode)
 	}
@@ -318,27 +285,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nexus: loading enclave: %w", err)
 	}
-	store := cfg.Store
-	if merkleFreshness {
-		if _, ok := store.(enclave.FreshnessProofStore); !ok {
-			store = vfs.NewFreshnessStore(store)
-		}
-	}
 	encl, err := enclave.New(enclave.Config{
 		SGX:                  container,
-		Store:                store,
+		Store:                cfg.Store,
 		IAS:                  cfg.IAS,
 		BucketSize:           cfg.BucketSize,
 		ChunkSize:            cfg.ChunkSize,
 		ContentDefined:       cfg.ContentDefined,
 		CryptoWorkers:        cfg.CryptoWorkers,
 		DisableMetadataCache: cfg.DisableMetadataCache,
-		FreshnessTree:        flatFreshness,
-		FreshnessMerkle:      merkleFreshness,
 		Writeback:            writeback,
 		WritebackMaxOps:      cfg.WritebackMaxOps,
 		WritebackMaxBytes:    cfg.WritebackMaxBytes,
-		DisableGroupKeys:     cfg.DisableGroupKeys,
 		Obs:                  cfg.Obs,
 	})
 	if err != nil {

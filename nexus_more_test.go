@@ -178,11 +178,10 @@ func TestDisabledMetadataCacheStillCorrect(t *testing.T) {
 	}
 }
 
+// TestFreshnessTreePublicAPI drives the public API over the freshness
+// commitment every client carries: writes advance the Merkle root.
 func TestFreshnessTreePublicAPI(t *testing.T) {
-	client, err := NewClient(ClientConfig{
-		Store:         NewMemoryStore(),
-		FreshnessTree: true,
-	})
+	client, err := NewClient(ClientConfig{Store: NewMemoryStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +202,9 @@ func TestFreshnessTreePublicAPI(t *testing.T) {
 	}
 	if err := fs.Remove("/f"); err != nil {
 		t.Fatal(err)
+	}
+	if n := client.Obs().CounterValue("enclave_freshness_root_updates_total"); n == 0 {
+		t.Fatal("no freshness root updates")
 	}
 }
 
